@@ -37,7 +37,7 @@ from .detector import (
     DetectionVerdict,
     DetectorConfig,
     calibrate,
-    evaluate,
+    detect_set,
     l1_distance,
     stochastic_inference,
 )
@@ -88,7 +88,7 @@ __all__ = [
     "DetectionVerdict",
     "DetectorConfig",
     "calibrate",
-    "evaluate",
+    "detect_set",
     "l1_distance",
     "stochastic_inference",
     "AdversarialSample",

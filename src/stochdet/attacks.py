@@ -19,6 +19,7 @@ under a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -44,7 +45,6 @@ class AttackConfig:
     steps: int = 300
     step_size: float = 0.02
     eps: float = 0.15  # fgsm only
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("fgsm", "cw_l2", "defense_aware"):
@@ -55,6 +55,19 @@ class AttackConfig:
             raise AttackError(f"steps must be at least 1, got {self.steps}")
         if self.k < 0 or self.c <= 0 or self.beta < 0:
             raise AttackError(f"need k >= 0, c > 0, beta >= 0; got k={self.k} c={self.c} beta={self.beta}")
+
+    @property
+    def name(self) -> str:
+        if self.kind == "fgsm":
+            return f"fgsm_eps{self.eps:g}"
+        if self.kind == "cw_l2":
+            return f"cw_l2_{self.target_mode}_k{self.k:g}"
+        return f"defense_aware_{self.target_mode}_k{self.k:g}_beta{self.beta:g}"
+
+    @property
+    def param(self) -> float:
+        """The swept parameter: eps for fgsm, k for cw_l2, beta for defense_aware."""
+        return self.beta if self.kind == "defense_aware" else (self.eps if self.kind == "fgsm" else self.k)
 
 
 @dataclass
@@ -320,21 +333,22 @@ def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample]
         raise AttackError("not an adversarial-set container (bad magic)")
     (manifest_len,) = struct.unpack_from("<Q", data, len(_SET_MAGIC))
     header_end = len(_SET_MAGIC) + 8
-    manifest = json.loads(data[header_end : header_end + manifest_len])
+    if len(data) < header_end + manifest_len:
+        raise AttackError("truncated manifest")
+    try:
+        manifest = json.loads(data[header_end : header_end + manifest_len])
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise AttackError(f"manifest is not valid JSON: {exc}") from exc
     blob = data[header_end + manifest_len :]
-    if len(blob) != manifest["blob_bytes"]:
-        raise AttackError(
-            f"adversarial blob has {len(blob)} bytes, manifest declares {manifest['blob_bytes']}"
-        )
-    samples = []
-    for e in manifest["samples"]:
-        count = int(np.prod(e["shape"]))
-        orig = np.frombuffer(blob, dtype="<f8", count=count, offset=e["orig_offset"]).reshape(e["shape"]).copy()
-        pert = np.frombuffer(blob, dtype="<f8", count=count, offset=e["pert_offset"]).reshape(e["shape"]).copy()
-        samples.append(
+    try:
+        if len(blob) != manifest["blob_bytes"]:
+            raise AttackError(
+                f"adversarial blob has {len(blob)} bytes, manifest declares {manifest['blob_bytes']}"
+            )
+        samples = [
             AdversarialSample(
-                original=orig,
-                perturbed=pert,
+                original=_read_set_array(blob, e["orig_offset"], e["shape"]),
+                perturbed=_read_set_array(blob, e["pert_offset"], e["shape"]),
                 target_class=e["target_class"],
                 success=e["success"],
                 l2_distortion=e["l2_distortion"],
@@ -342,8 +356,21 @@ def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample]
                 source_class=e["source_class"],
                 attack_l1_to_target=e["attack_l1_to_target"],
             )
-        )
-    return samples, manifest.get("attack", {})
+            for e in manifest["samples"]
+        ]
+        return samples, manifest.get("attack", {})
+    except (KeyError, TypeError) as exc:
+        raise AttackError(f"manifest lacks or mistypes a field: {exc!r}") from exc
+
+
+def _read_set_array(blob: bytes, offset: int, shape: list[int]) -> np.ndarray:
+    if type(offset) is not int or not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise AttackError(f"bad sample array offset {offset!r} or shape {shape!r}")
+    count = math.prod(shape)
+    end = offset + count * 8
+    if offset < 0 or end > len(blob):
+        raise AttackError(f"sample array needs bytes [{offset}, {end}) but the blob has only {len(blob)}")
+    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
 
 
 def load_adversarial_set(data: bytes) -> list[AdversarialSample]:

@@ -1,10 +1,12 @@
 """Command-line driver.
 
 Subcommands mirror the pipeline stages (train, profile, attack,
-calibrate, detect, eval, simulate, report) plus `run` for the whole
-experiment and `verify` to re-derive artifact hashes. Configuration
-comes from one JSON file with flag overrides on top; all outputs land in
---out (or $STOCHDET_OUT_DIR).
+calibrate, eval, simulate, report) plus `detect` for one set, `run` for
+the whole experiment and `verify` to re-derive artifact hashes. Each
+stage subcommand runs the same stage function as `run`, reading the
+artifacts earlier stages left in --out. Configuration comes from one JSON
+file with flag overrides on top; all outputs land in --out (or
+$STOCHDET_OUT_DIR).
 
 Exit codes: 0 success, 2 config error, 3 stage failure.
 """
@@ -18,49 +20,21 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .attacks import (
-    load_adversarial_set,
-    load_adversarial_set_with_meta,
-    pick_exemplars,
-    save_adversarial_set,
-)
-from .detector import (
-    DetectionThresholds,
-    DetectorConfig,
-    calibrate,
-    calibration_distances,
-    stochastic_inference,
-)
-from .model import (
-    ModelFormatError,
-    ThresholdTable,
-    TrainConfig,
-    conv_pool_arch,
-    load_model,
-    profile_thresholds,
-    save_model,
-    train,
-)
+from .attacks import load_adversarial_set
+from .detector import detect_set
+from .model import ModelFormatError
 from .pipeline import (
+    STAGES,
     ConfigError,
     ExperimentConfig,
+    RunState,
     StageError,
-    build_histograms,
     default_config,
-    evaluate_attack_sets,
-    generate_attack_set,
-    load_dataset_spec,
-    provenance,
-    read_json_artifact,
     run_pipeline,
-    simulate_for_inputs,
     verify_artifact,
-    write_json_artifact,
-    write_report_csvs,
-    _attack_sources,
-    _write_verdict_log,
+    write_verdict_log,
 )
-from .rng import derive_seed
+from .rng import derive_seed  # noqa: F401 -- perfbench's tracing self-test patches it at this import site
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,60 +62,26 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.out_dir = out
     if getattr(args, "model", None):
         cfg.model_path = args.model
-    for name in ("sr_lo", "sr_hi", "gamma"):
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.noise[name] = value
-    if getattr(args, "noise_mode", None):
-        cfg.noise["mode"] = args.noise_mode
-    if getattr(args, "group_size", None) is not None:
-        cfg.accelerator["group_size"] = args.group_size
-    if getattr(args, "window", None) is not None:
-        cfg.accelerator["lookahead"] = args.window
+    noise = {k: getattr(args, k) for k in ("sr_lo", "sr_hi", "gamma") if getattr(args, k, None) is not None}
+    accelerator = {
+        k: getattr(args, flag)
+        for k, flag in (("group_size", "group_size"), ("lookahead", "window"))
+        if getattr(args, flag, None) is not None
+    }
     try:
-        cfg.noise_config()  # validate early
-        cfg.accelerator_config()
-    except (ValueError, TypeError) as exc:
+        cfg.noise = replace(cfg.noise, **noise)
+        cfg.accelerator = replace(cfg.accelerator, **accelerator)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def _require_model(args: argparse.Namespace):
-    path = getattr(args, "model", None)
-    if not path:
-        raise ConfigError("the 'model' field is required for this command (--model)")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config field 'model' points to a missing path: {p}")
-    return load_model(p.read_bytes())
-
-
-def _load_table(args: argparse.Namespace) -> ThresholdTable:
-    path = getattr(args, "table", None)
-    if not path:
-        raise ConfigError("the 'table' field is required for this command (--table)")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config field 'table' points to a missing path: {p}")
-    _, payload = read_json_artifact(p)
-    return ThresholdTable.from_json(payload)
-
-
-def _load_thresholds(args: argparse.Namespace) -> DetectionThresholds:
-    path = getattr(args, "thresholds", None)
-    if not path:
-        raise ConfigError("the 'thresholds' field is required for this command (--thresholds)")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config field 'thresholds' points to a missing path: {p}")
-    _, payload = read_json_artifact(p)
-    return DetectionThresholds.from_json(payload["thresholds"])
-
-
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _state(args: argparse.Namespace) -> RunState:
+    return RunState(
+        _load_config(args),
+        table_path=getattr(args, "table", None) or "",
+        thresholds_path=getattr(args, "thresholds", None) or "",
+    )
 
 
 def cmd_run(args) -> int:
@@ -151,192 +91,29 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    train_set = load_dataset_spec(cfg.dataset, cfg.train_count, cfg.image_size, "train")
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    arch = conv_pool_arch(tuple(cfg.arch_channels), cfg.kernel, class_count=train_set.class_count)
-    result = train(train_set, arch, TrainConfig(**cfg.train), test_dataset=test_set)
-    (out / "model.bin").write_bytes(save_model(result.model, provenance(cfg)))
-    write_json_artifact(
-        out / "train_report.json",
-        {
-            "train_accuracy": result.train_accuracy,
-            "test_accuracy": result.test_accuracy,
-            "epoch_losses": result.epoch_losses,
-        },
-        cfg,
-    )
-    print(f"trained: test accuracy {result.test_accuracy:.3f} -> {out / 'model.bin'}")
-    return EXIT_OK
+def _stage_command(stage):
+    def cmd(args) -> int:
+        print(stage(_state(args)))
+        return EXIT_OK
 
-
-def cmd_profile(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = profile_thresholds(model)
-    write_json_artifact(out / "threshold_table.json", table.to_json(), cfg)
-    print(f"profiled {sum(t.shape[0] for t in table.thresholds.values())} filters -> {out / 'threshold_table.json'}")
-    return EXIT_OK
-
-
-def cmd_attack(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    specs = [s for s in cfg.attack_specs() if not args.kind or s.kind == args.kind]
-    if not specs:
-        raise ConfigError(f"no configured attack matches kind {args.kind!r}")
-    exemplars = pick_exemplars(model, test_set)
-    start = cfg.calib_count + cfg.benign_eval_count
-    sources = _attack_sources(model, test_set, start, cfg.attack_count)
-    for spec in specs:
-        samples = generate_attack_set(model, spec, sources, exemplars, cfg.base_seed)
-        path = out / f"adv_{spec.name}.bin"
-        meta = {"name": spec.name, "kind": spec.kind, "param": spec.param}
-        path.write_bytes(save_adversarial_set(samples, provenance(cfg), attack_meta=meta))
-        n_ok = sum(1 for s in samples if s.success)
-        print(f"{spec.name}: {n_ok}/{len(samples)} successful -> {path}")
-    return EXIT_OK
-
-
-def cmd_calibrate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = _load_table(args)
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    inputs = test_set.images[: cfg.calib_count]
-    distances = calibration_distances(
-        model,
-        table,
-        inputs,
-        cfg.noise_config(),
-        derive_seed(cfg.train.get("seed", 0), "calibrate"),
-        passes=cfg.detector.get("calibration_passes", 24),
-    )
-    thresholds = calibrate(distances, cfg.detector["target_fpr"])
-    write_json_artifact(
-        out / "thresholds.json",
-        {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector["target_fpr"]},
-        cfg,
-    )
-    print(f"calibrated on {len(inputs)} benign inputs -> {out / 'thresholds.json'}")
-    return EXIT_OK
+    return cmd
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = _load_table(args)
-    thresholds = _load_thresholds(args)
-    det_cfg = DetectorConfig(
-        thresholds=thresholds,
-        max_runs=cfg.detector["max_runs"],
-        noise=cfg.noise_config(),
-        base_seed=cfg.base_seed,
-    )
+    state = _state(args)
     if args.adversarial_set:
-        p = Path(args.adversarial_set)
-        if not p.exists():
-            raise ConfigError(f"adversarial set path does not exist: {p}")
-        samples = load_adversarial_set(p.read_bytes())
-        inputs = [s.perturbed for s in samples]
+        path = Path(args.adversarial_set)
+        if not path.exists():
+            raise ConfigError(f"adversarial set path does not exist: {path}")
+        inputs = [s.perturbed for s in load_adversarial_set(path.read_bytes())]
         tag = "adversarial"
     else:
-        test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-        inputs = test_set.images[cfg.calib_count : cfg.calib_count + cfg.benign_eval_count]
-        tag = "benign"
-    verdicts = []
-    for i, x in enumerate(inputs):
-        sub = replace(det_cfg, base_seed=derive_seed(det_cfg.base_seed, tag, i))
-        verdicts.append(stochastic_inference(model, table, x, sub))
-    path = out / f"verdicts_{args.name or tag}.jsonl"
-    _write_verdict_log(path, verdicts, cfg)
+        inputs, tag = state["benign_eval"], "benign"
+    verdicts = detect_set(state["model"], state["table"], state.detector_config(), inputs, tag)
+    path = state.out / f"verdicts_{args.name or tag}.jsonl"
+    write_verdict_log(path, verdicts, state.cfg)
     flagged = sum(1 for v in verdicts if v.label == "adversarial")
     print(f"{flagged}/{len(verdicts)} flagged adversarial -> {path}")
-    return EXIT_OK
-
-
-def _load_adv_sets(out: Path):
-    """All adv_*.bin containers in the run dir, with their attack metadata."""
-    named = []
-    for path in sorted(out.glob("adv_*.bin")):
-        samples, meta = load_adversarial_set_with_meta(path.read_bytes())
-        if not meta:
-            meta = {"name": path.stem.removeprefix("adv_"), "kind": samples[0].kind if samples else "", "param": 0.0}
-        named.append((meta, samples))
-    if not named:
-        raise ConfigError(f"no adv_*.bin containers found in {out}; run `attack` first")
-    return named
-
-
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = _load_table(args)
-    thresholds = _load_thresholds(args)
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    benign_eval = test_set.images[cfg.calib_count : cfg.calib_count + cfg.benign_eval_count]
-    det_cfg = DetectorConfig(
-        thresholds=thresholds,
-        max_runs=cfg.detector["max_runs"],
-        noise=cfg.noise_config(),
-        base_seed=cfg.base_seed,
-    )
-    named = _load_adv_sets(out)
-    metrics_by_attack, benign_fpr = evaluate_attack_sets(
-        model, table, det_cfg, benign_eval, named, out, cfg
-    )
-    write_json_artifact(out / "metrics.json", metrics_by_attack, cfg)
-    print(f"benign FPR {benign_fpr:.3f}; metrics for {len(named)} attack set(s) -> {out / 'metrics.json'}")
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = _load_table(args)
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    inputs = test_set.images[: cfg.simulate_count]
-    summary = simulate_for_inputs(
-        model, table, inputs, cfg.noise_config(), cfg.accelerator_config(), cfg.base_seed
-    )
-    write_json_artifact(out / "cycles.json", summary, cfg)
-    print(
-        f"simulated {summary['inputs']} plans: mean speedup {summary['mean_speedup']:.3f} "
-        f"(eligible layers {summary['mean_eligible_speedup']:.3f}) -> {out / 'cycles.json'}"
-    )
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    """Metric CSVs, sweep tables, and L1 histograms from existing artifacts."""
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    model = _require_model(args)
-    table = _load_table(args)
-    metrics_path = out / "metrics.json"
-    if not metrics_path.exists():
-        raise ConfigError(f"no metrics.json in {out}; run `eval` first")
-    _, metrics_by_attack = read_json_artifact(metrics_path)
-    cycles_path = out / "cycles.json"
-    if not cycles_path.exists():
-        raise ConfigError(f"no cycles.json in {out}; run `simulate` first")
-    _, sim_summary = read_json_artifact(cycles_path)
-    test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    benign_eval = test_set.images[cfg.calib_count : cfg.calib_count + cfg.benign_eval_count]
-    adv_sets = {meta["name"]: samples for meta, samples in _load_adv_sets(out)}
-    hist = build_histograms(model, table, cfg.noise_config(), cfg, benign_eval, adv_sets)
-    write_json_artifact(out / "l1_histograms.json", hist, cfg)
-    write_report_csvs(out, cfg, metrics_by_attack, sim_summary)
-    print(f"report CSVs and histograms -> {out}")
     return EXIT_OK
 
 
@@ -350,7 +127,8 @@ def cmd_verify(args) -> int:
         if f.is_dir():
             continue
         ok, detail = verify_artifact(f)
-        status = "ok" if ok else "TAMPERED"
+        # a passing detail is "ok" or "skipped (<reason>)"
+        status = detail.split()[0] if ok else "TAMPERED"
         print(f"{status:9} {f} ({detail})")
         if not ok:
             bad += 1
@@ -374,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sr-lo", type=float, dest="sr_lo")
         p.add_argument("--sr-hi", type=float, dest="sr_hi")
         p.add_argument("--gamma", type=float)
-        p.add_argument("--noise-mode", choices=["sparsify", "activation"], dest="noise_mode")
         if model:
             p.add_argument("--model", help="path to a model container")
         if table:
@@ -385,11 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("run", help="full pipeline"), model=True)
     common(sub.add_parser("train", help="train the fixture model"))
     common(sub.add_parser("profile", help="build the per-filter threshold table"), model=True)
-
-    p_attack = sub.add_parser("attack", help="generate adversarial sets")
-    common(p_attack, model=True)
-    p_attack.add_argument("--kind", choices=["fgsm", "cw_l2", "defense_aware"], help="restrict to one attack kind")
-
+    common(sub.add_parser("attack", help="generate the configured adversarial sets"), model=True)
     common(sub.add_parser("calibrate", help="benign-quantile threshold calibration"), model=True, table=True)
 
     p_detect = sub.add_parser("detect", help="run the detector over a set")
@@ -398,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--name", help="verdict log name suffix")
 
     common(
-        sub.add_parser("eval", help="detection metrics over saved adversarial sets"),
+        sub.add_parser("eval", help="detection metrics over the saved adversarial sets"),
         model=True,
         table=True,
         thresholds=True,
@@ -419,15 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "run": cmd_run,
-    "train": cmd_train,
-    "profile": cmd_profile,
-    "attack": cmd_attack,
-    "calibrate": cmd_calibrate,
     "detect": cmd_detect,
-    "eval": cmd_eval,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
     "verify": cmd_verify,
+    **{name: _stage_command(stage) for name, stage in STAGES if name != "data"},
 }
 
 

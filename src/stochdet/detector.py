@@ -161,8 +161,23 @@ def stochastic_inference(
     )
 
 
+def detect_set(
+    model: Model, table: ThresholdTable, cfg: DetectorConfig, inputs: Iterable[np.ndarray], tag: str
+) -> list[DetectionVerdict]:
+    """stochastic_inference over a set, one derived base seed per input.
+
+    Each input runs under derive_seed(cfg.base_seed, tag, i), so one
+    unlucky plan cannot correlate errors across the whole set and a set
+    re-run under the same tag reproduces every verdict.
+    """
+    return [
+        stochastic_inference(model, table, x, replace(cfg, base_seed=derive_seed(cfg.base_seed, tag, i)))
+        for i, x in enumerate(inputs)
+    ]
+
+
 # ---------------------------------------------------------------------------
-# calibration and evaluation
+# calibration
 
 
 def first_pass_distance(
@@ -235,66 +250,3 @@ def calibrate(benign_l1_samples: np.ndarray, target_fpr: float) -> DetectionThre
     t2_greedy = max(t2_greedy, t2_avg)
     clip = lambda v: float(np.clip(v, 0.0, 2.0))
     return DetectionThresholds(clip(t1_greedy), clip(t2_greedy), clip(t1_avg), clip(t2_avg))
-
-
-@dataclass
-class Metrics:
-    detection_rate: float | None  # None when no adversarial samples given
-    fpr: float
-    tpr: float
-    mean_runs: float
-    benign_count: int
-    adversarial_count: int
-
-    def to_json(self) -> dict:
-        return {
-            "detection_rate": self.detection_rate,
-            "fpr": self.fpr,
-            "tpr": self.tpr,
-            "mean_runs": self.mean_runs,
-            "benign_count": self.benign_count,
-            "adversarial_count": self.adversarial_count,
-        }
-
-
-def evaluate(
-    model: Model,
-    table: ThresholdTable,
-    cfg: DetectorConfig,
-    benign_inputs: list[np.ndarray],
-    adversarial_inputs: list[np.ndarray],
-) -> tuple[Metrics, list[DetectionVerdict], list[DetectionVerdict]]:
-    """Detection metrics over benign and adversarial sets.
-
-    Each input runs under its own derived base seed so one unlucky plan
-    cannot correlate errors across the whole set.
-    """
-    if not benign_inputs:
-        raise ValueError("evaluate needs at least one benign input")
-
-    def run(inputs: list[np.ndarray], tag: str) -> list[DetectionVerdict]:
-        out = []
-        for i, x in enumerate(inputs):
-            sub = replace(cfg, base_seed=derive_seed(cfg.base_seed, tag, i))
-            out.append(stochastic_inference(model, table, x, sub))
-        return out
-
-    benign_verdicts = run(benign_inputs, "benign")
-    adv_verdicts = run(adversarial_inputs, "adversarial")
-    flagged_benign = sum(1 for v in benign_verdicts if v.label == "adversarial")
-    fpr = flagged_benign / len(benign_verdicts)
-    detection = (
-        sum(1 for v in adv_verdicts if v.label == "adversarial") / len(adv_verdicts)
-        if adv_verdicts
-        else None
-    )
-    all_verdicts = benign_verdicts + adv_verdicts
-    metrics = Metrics(
-        detection_rate=detection,
-        fpr=fpr,
-        tpr=1.0 - fpr,
-        mean_runs=float(np.mean([v.runs_used for v in all_verdicts])),
-        benign_count=len(benign_verdicts),
-        adversarial_count=len(adv_verdicts),
-    )
-    return metrics, benign_verdicts, adv_verdicts

@@ -29,17 +29,19 @@ from .accelsim import AcceleratorConfig, CycleReport, simulate_model
 from .attacks import (
     AttackConfig,
     AdversarialSample,
+    load_adversarial_set,
     pick_exemplars,
     run_attack,
     save_adversarial_set,
 )
 from .data import Dataset, load_idx_dataset, synth_dataset
 from .detector import (
+    DetectionThresholds,
     DetectorConfig,
     calibrate,
     calibration_distances,
+    detect_set,
     first_pass_distances,
-    stochastic_inference,
 )
 from .model import (
     Model,
@@ -70,28 +72,19 @@ class StageError(RuntimeError):
 
 
 @dataclass
-class AttackSpec:
-    kind: str = "cw_l2"
-    target_mode: str = "next"
-    k: float = 0.0
-    beta: float = 0.0
-    c: float = 1.0
-    steps: int = 300
-    step_size: float = 0.02
-    eps: float = 0.15
+class DetectorSettings:
+    """The experiment's detector knobs; thresholds come from calibration."""
 
-    @property
-    def name(self) -> str:
-        if self.kind == "fgsm":
-            return f"fgsm_eps{self.eps:g}"
-        if self.kind == "cw_l2":
-            return f"cw_l2_{self.target_mode}_k{self.k:g}"
-        return f"defense_aware_{self.target_mode}_k{self.k:g}_beta{self.beta:g}"
+    max_runs: int = 3
+    target_fpr: float = 0.05
+    calibration_passes: int = 24
 
-    @property
-    def param(self) -> float:
-        """The swept parameter: k for margin attacks, beta for defense_aware."""
-        return self.beta if self.kind == "defense_aware" else (self.eps if self.kind == "fgsm" else self.k)
+    def __post_init__(self) -> None:
+        if self.max_runs < 1 or self.calibration_passes < 1 or not 0.0 < self.target_fpr < 1.0:
+            raise ValueError(
+                "need max_runs >= 1, calibration_passes >= 1 and 0 < target_fpr < 1; got "
+                f"({self.max_runs}, {self.calibration_passes}, {self.target_fpr})"
+            )
 
 
 @dataclass
@@ -105,56 +98,48 @@ class ExperimentConfig:
     model_path: str = ""  # reuse an existing model instead of training
     arch_channels: list[int] = field(default_factory=lambda: [8, 16])
     kernel: int = 3
-    train: dict = field(
-        default_factory=lambda: {
-            "lr": 0.15,
-            "epochs": 16,
-            "seed": 11,
-            "batch_size": 16,
-            "weight_decay": 1e-4,
-        }
+    train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(lr=0.15, epochs=16, seed=11, batch_size=16, weight_decay=1e-4)
     )
-    noise: dict = field(default_factory=lambda: asdict(NoiseConfig()))
-    detector: dict = field(
-        default_factory=lambda: {"max_runs": 3, "target_fpr": 0.05, "calibration_passes": 24}
-    )
-    attacks: list[dict] = field(default_factory=list)
-    accelerator: dict = field(default_factory=lambda: asdict(AcceleratorConfig()))
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    detector: DetectorSettings = field(default_factory=DetectorSettings)
+    attacks: list[AttackConfig] = field(default_factory=list)
+    accelerator: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     calib_count: int = 300
     benign_eval_count: int = 300
     attack_count: int = 230
     simulate_count: int = 20
-
-    def attack_specs(self) -> list[AttackSpec]:
-        return [AttackSpec(**a) for a in self.attacks]
-
-    def noise_config(self) -> NoiseConfig:
-        return NoiseConfig(**self.noise)
-
-    def accelerator_config(self) -> AcceleratorConfig:
-        return AcceleratorConfig(**self.accelerator)
 
     def to_json(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+        """A config from JSON; each section overrides only the keys it names."""
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**obj)
+        fields, defaults = dict(obj), cls()
+        try:
+            for name in ("train", "noise", "detector", "accelerator"):
+                if name in fields:
+                    fields[name] = replace(getattr(defaults, name), **fields[name])
+            if "attacks" in fields:
+                fields["attacks"] = [AttackConfig(**a) for a in fields["attacks"]]
+            return cls(**fields)
+        except (TypeError, ValueError) as exc:  # AttackError is a ValueError
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def default_config(**overrides) -> ExperimentConfig:
     cfg = ExperimentConfig(
         attacks=[
-            {"kind": "fgsm", "eps": 0.15},
-            {"kind": "cw_l2", "target_mode": "next", "k": 0.0},
-            {"kind": "cw_l2", "target_mode": "next", "k": 2.0},
-            {"kind": "cw_l2", "target_mode": "next", "k": 5.0},
-            {"kind": "defense_aware", "target_mode": "next", "k": 2.0, "beta": 1e-4},
-            {"kind": "defense_aware", "target_mode": "next", "k": 2.0, "beta": 1e-1},
+            AttackConfig(kind="fgsm", eps=0.15),
+            AttackConfig(kind="cw_l2", target_mode="next", k=0.0),
+            AttackConfig(kind="cw_l2", target_mode="next", k=2.0),
+            AttackConfig(kind="cw_l2", target_mode="next", k=5.0),
+            AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-4),
+            AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-1),
         ]
     )
     for key, value in overrides.items():
@@ -263,45 +248,15 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str) -> Datas
     raise ConfigError(f"unknown dataset kind {parts[0]!r} in {spec!r}")
 
 
-@dataclass
-class PipelineResult:
-    out_dir: Path
-    model: Model
-    table: ThresholdTable
-    thresholds: dict
-    metrics_by_attack: dict[str, dict]
-    benign_fpr: float
-
-
-def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list[tuple[int, np.ndarray]]:
+def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list[np.ndarray]:
     sources = []
     for i in range(start, len(test)):
         if len(sources) >= count:
             break
         img, lab = test.images[i], test.labels[i]
         if model.predict(img).top_class == lab:
-            sources.append((i, img))
+            sources.append(img)
     return sources
-
-
-def generate_attack_set(
-    model: Model, spec: AttackSpec, sources: list[tuple[int, np.ndarray]], exemplars, base_seed: int
-) -> list[AdversarialSample]:
-    samples = []
-    for i, x in sources:
-        acfg = AttackConfig(
-            kind=spec.kind,
-            target_mode=spec.target_mode,
-            k=spec.k,
-            c=spec.c,
-            beta=spec.beta,
-            steps=spec.steps,
-            step_size=spec.step_size,
-            eps=spec.eps,
-            seed=derive_seed(base_seed, "attack", spec.name, i),
-        )
-        samples.append(run_attack(model, x, acfg, exemplars))
-    return samples
 
 
 def l1_histogram(distances: np.ndarray) -> list[int]:
@@ -309,211 +264,266 @@ def l1_histogram(distances: np.ndarray) -> list[int]:
     return counts.astype(int).tolist()
 
 
-def run_pipeline(cfg: ExperimentConfig, log=print) -> PipelineResult:
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
+class RunState:
+    """The config, the output directory and the artifacts of one run so far.
 
-    def stage(name):
-        log(f"[pipeline] {name} (+{time.monotonic() - started:.1f}s)")
-
-    # -- data ---------------------------------------------------------
-    stage("data")
-    try:
-        train_set = load_dataset_spec(cfg.dataset, cfg.train_count, cfg.image_size, "train")
-        test_set = load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise StageError("data", str(exc)) from exc
-
-    # -- train / load ---------------------------------------------------
-    stage("train")
-    try:
-        if cfg.model_path:
-            model_file = Path(cfg.model_path)
-            if not model_file.exists():
-                raise ConfigError(f"config field 'model' points to a missing path: {model_file}")
-            model = load_model(model_file.read_bytes())
-            train_report = {"reused": str(model_file)}
-        else:
-            arch = conv_pool_arch(tuple(cfg.arch_channels), cfg.kernel, class_count=train_set.class_count)
-            result = train(train_set, arch, TrainConfig(**cfg.train), test_dataset=test_set)
-            model = result.model
-            train_report = {
-                "train_accuracy": result.train_accuracy,
-                "test_accuracy": result.test_accuracy,
-                "epoch_losses": result.epoch_losses,
-            }
-            (out_dir / "model.bin").write_bytes(save_model(model, provenance(cfg)))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise StageError("train", str(exc)) from exc
-    write_json_artifact(out_dir / "train_report.json", train_report, cfg)
-
-    # -- profile --------------------------------------------------------
-    stage("profile")
-    try:
-        table = profile_thresholds(model)
-    except Exception as exc:
-        raise StageError("profile", str(exc)) from exc
-    write_json_artifact(out_dir / "threshold_table.json", table.to_json(), cfg)
-
-    # -- attacks --------------------------------------------------------
-    stage("attack")
-    exemplars = pick_exemplars(model, test_set)
-    adv_sets: dict[str, list[AdversarialSample]] = {}
-    attack_start = cfg.calib_count + cfg.benign_eval_count
-    sources = _attack_sources(model, test_set, attack_start, cfg.attack_count)
-    try:
-        for spec in cfg.attack_specs():
-            samples = generate_attack_set(model, spec, sources, exemplars, cfg.base_seed)
-            adv_sets[spec.name] = samples
-            meta = {"name": spec.name, "kind": spec.kind, "param": spec.param}
-            (out_dir / f"adv_{spec.name}.bin").write_bytes(
-                save_adversarial_set(samples, provenance(cfg), attack_meta=meta)
-            )
-    except Exception as exc:
-        raise StageError("attack", str(exc)) from exc
-
-    # -- calibrate --------------------------------------------------------
-    stage("calibrate")
-    noise = cfg.noise_config()
-    try:
-        calib_inputs = test_set.images[: cfg.calib_count]
-        # detection thresholds are deployment constants of the trained model,
-        # like the threshold table: their sampling keys off the training
-        # identity so reseeding the detector never re-rolls the operating point
-        calib_d = calibration_distances(
-            model,
-            table,
-            calib_inputs,
-            noise,
-            derive_seed(cfg.train.get("seed", 0), "calibrate"),
-            passes=cfg.detector.get("calibration_passes", 24),
-        )
-        thresholds = calibrate(calib_d, cfg.detector["target_fpr"])
-    except Exception as exc:
-        raise StageError("calibrate", str(exc)) from exc
-    write_json_artifact(
-        out_dir / "thresholds.json",
-        {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector["target_fpr"]},
-        cfg,
-    )
-
-    # -- eval -------------------------------------------------------------
-    stage("eval")
-    det_cfg = DetectorConfig(
-        thresholds=thresholds,
-        max_runs=cfg.detector["max_runs"],
-        noise=noise,
-        base_seed=cfg.base_seed,
-    )
-    benign_eval = test_set.images[cfg.calib_count : cfg.calib_count + cfg.benign_eval_count]
-    named_sets = [
-        ({"name": spec.name, "kind": spec.kind, "param": spec.param}, adv_sets[spec.name])
-        for spec in cfg.attack_specs()
-    ]
-    try:
-        metrics_by_attack, benign_fpr = evaluate_attack_sets(
-            model, table, det_cfg, benign_eval, named_sets, out_dir, cfg
-        )
-    except Exception as exc:
-        raise StageError("eval", str(exc)) from exc
-    write_json_artifact(out_dir / "metrics.json", metrics_by_attack, cfg)
-
-    # -- simulate ------------------------------------------------------------
-    stage("simulate")
-    try:
-        sim_summary = simulate_for_inputs(
-            model, table, benign_eval[: cfg.simulate_count], noise, cfg.accelerator_config(), cfg.base_seed
-        )
-    except Exception as exc:
-        raise StageError("simulate", str(exc)) from exc
-    write_json_artifact(out_dir / "cycles.json", sim_summary, cfg)
-
-    # -- report ------------------------------------------------------------
-    stage("report")
-    try:
-        hist_payload = build_histograms(model, table, noise, cfg, benign_eval, adv_sets)
-        write_json_artifact(out_dir / "l1_histograms.json", hist_payload, cfg)
-        write_report_csvs(out_dir, cfg, metrics_by_attack, sim_summary)
-    except Exception as exc:
-        raise StageError("report", str(exc)) from exc
-
-    stage("done")
-    return PipelineResult(
-        out_dir=out_dir,
-        model=model,
-        table=table,
-        thresholds=thresholds.to_json(),
-        metrics_by_attack=metrics_by_attack,
-        benign_fpr=benign_fpr,
-    )
-
-
-def detect_batch(model, table, det_cfg: DetectorConfig, inputs, tag: str):
-    """stochastic_inference over a set, one derived base seed per input.
-
-    Mirrors detector.evaluate's seed derivation so its metrics and these
-    agree input for input.
+    Stages store what they produce here, so `run` hands every object on in
+    memory. An artifact that no earlier stage produced is resolved on first
+    use: the model, table and thresholds from their paths, the configured
+    attack sets, metrics and cycles from the output directory, and the
+    datasets by generating them.
     """
-    out = []
-    for i, x in enumerate(inputs):
-        sub = replace(det_cfg, base_seed=derive_seed(det_cfg.base_seed, tag, i))
-        out.append(stochastic_inference(model, table, x, sub))
-    return out
+
+    def __init__(self, cfg: ExperimentConfig, table_path: str = "", thresholds_path: str = ""):
+        self.cfg = cfg
+        self.out = Path(cfg.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.paths = {"model": cfg.model_path, "table": table_path, "thresholds": thresholds_path}
+        self.artifacts: dict = {}
+
+    def __getitem__(self, name: str):
+        if name not in self.artifacts:
+            self.artifacts[name] = getattr(self, f"_load_{name}")()
+        return self.artifacts[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        self.artifacts[name] = value
+
+    def detector_config(self) -> DetectorConfig:
+        return DetectorConfig(
+            thresholds=self["thresholds"],
+            max_runs=self.cfg.detector.max_runs,
+            noise=self.cfg.noise,
+            base_seed=self.cfg.base_seed,
+        )
+
+    def _given_path(self, name: str) -> Path:
+        if not self.paths[name]:
+            raise ConfigError(f"the '{name}' field is required for this command (--{name})")
+        path = Path(self.paths[name])
+        if not path.exists():
+            raise ConfigError(f"config field '{name}' points to a missing path: {path}")
+        return path
+
+    def _run_file(self, name: str, stage: str) -> Path:
+        path = self.out / name
+        if not path.exists():
+            raise ConfigError(f"no {name} in {self.out}; run `{stage}` first")
+        return path
+
+    def _load_train_set(self) -> Dataset:
+        return load_dataset_spec(self.cfg.dataset, self.cfg.train_count, self.cfg.image_size, "train")
+
+    def _load_test_set(self) -> Dataset:
+        return load_dataset_spec(self.cfg.dataset, self.cfg.test_count, self.cfg.image_size, "test")
+
+    def _load_benign_eval(self) -> list[np.ndarray]:
+        start = self.cfg.calib_count
+        return self["test_set"].images[start : start + self.cfg.benign_eval_count]
+
+    def _load_model(self) -> Model:
+        return load_model(self._given_path("model").read_bytes())
+
+    def _load_table(self) -> ThresholdTable:
+        return ThresholdTable.from_json(read_json_artifact(self._given_path("table"))[1])
+
+    def _load_thresholds(self) -> DetectionThresholds:
+        return DetectionThresholds.from_json(read_json_artifact(self._given_path("thresholds"))[1]["thresholds"])
+
+    def _load_adv_sets(self) -> dict[str, list[AdversarialSample]]:
+        return {
+            spec.name: load_adversarial_set(self._run_file(f"adv_{spec.name}.bin", "attack").read_bytes())
+            for spec in self.cfg.attacks
+        }
+
+    def _load_metrics(self) -> dict:
+        return read_json_artifact(self._run_file("metrics.json", "eval"))[1]
+
+    def _load_cycles(self) -> dict:
+        return read_json_artifact(self._run_file("cycles.json", "simulate"))[1]
+
+
+# Each stage reads its inputs from the run state, stores and writes what it
+# produces, and returns a one-line summary for the CLI.
+
+
+def stage_data(state: RunState) -> str:
+    return f"{len(state['train_set'])} train and {len(state['test_set'])} test samples"
+
+
+def stage_train(state: RunState) -> str:
+    cfg = state.cfg
+    if cfg.model_path:
+        state["model"]  # loads, and so checks, the given model
+        report = {"reused": str(Path(cfg.model_path))}
+        summary = f"reused {cfg.model_path}"
+    else:
+        train_set = state["train_set"]
+        arch = conv_pool_arch(tuple(cfg.arch_channels), cfg.kernel, class_count=train_set.class_count)
+        result = train(train_set, arch, cfg.train, test_dataset=state["test_set"])
+        state["model"] = result.model
+        report = {
+            "train_accuracy": result.train_accuracy,
+            "test_accuracy": result.test_accuracy,
+            "epoch_losses": result.epoch_losses,
+        }
+        (state.out / "model.bin").write_bytes(save_model(result.model, provenance(cfg)))
+        summary = f"trained: test accuracy {result.test_accuracy:.3f} -> {state.out / 'model.bin'}"
+    write_json_artifact(state.out / "train_report.json", report, cfg)
+    return summary
+
+
+def stage_profile(state: RunState) -> str:
+    table = state["table"] = profile_thresholds(state["model"])
+    path = state.out / "threshold_table.json"
+    write_json_artifact(path, table.to_json(), state.cfg)
+    return f"profiled {sum(t.shape[0] for t in table.thresholds.values())} filters -> {path}"
+
+
+def stage_attack(state: RunState) -> str:
+    cfg, model, test_set = state.cfg, state["model"], state["test_set"]
+    exemplars = pick_exemplars(model, test_set)
+    sources = _attack_sources(model, test_set, cfg.calib_count + cfg.benign_eval_count, cfg.attack_count)
+    adv_sets, lines = {}, []
+    for spec in cfg.attacks:
+        samples = adv_sets[spec.name] = [run_attack(model, x, spec, exemplars) for x in sources]
+        path = state.out / f"adv_{spec.name}.bin"
+        meta = {"name": spec.name, "kind": spec.kind, "param": spec.param}
+        path.write_bytes(save_adversarial_set(samples, provenance(cfg), attack_meta=meta))
+        lines.append(f"{spec.name}: {sum(s.success for s in samples)}/{len(samples)} successful -> {path}")
+    state["adv_sets"] = adv_sets
+    return "\n".join(lines) or "no attacks configured"
+
+
+def stage_calibrate(state: RunState) -> str:
+    cfg = state.cfg
+    inputs = state["test_set"].images[: cfg.calib_count]
+    # detection thresholds are deployment constants of the trained model,
+    # like the threshold table: their sampling keys off the training
+    # identity so reseeding the detector never re-rolls the operating point
+    distances = calibration_distances(
+        state["model"],
+        state["table"],
+        inputs,
+        cfg.noise,
+        derive_seed(cfg.train.seed, "calibrate"),
+        passes=cfg.detector.calibration_passes,
+    )
+    thresholds = state["thresholds"] = calibrate(distances, cfg.detector.target_fpr)
+    path = state.out / "thresholds.json"
+    write_json_artifact(path, {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector.target_fpr}, cfg)
+    return f"calibrated on {len(inputs)} benign inputs -> {path}"
+
+
+def stage_eval(state: RunState) -> str:
+    metrics, benign_fpr = evaluate_attack_sets(
+        state["model"],
+        state["table"],
+        state.detector_config(),
+        state["benign_eval"],
+        state["adv_sets"],
+        state.out,
+        state.cfg,
+    )
+    state["metrics"] = metrics
+    path = state.out / "metrics.json"
+    write_json_artifact(path, metrics, state.cfg)
+    return f"benign FPR {benign_fpr:.3f}; metrics for {len(metrics)} attack set(s) -> {path}"
+
+
+def stage_simulate(state: RunState) -> str:
+    cfg = state.cfg
+    inputs = state["benign_eval"][: cfg.simulate_count]
+    summary = state["cycles"] = simulate_for_inputs(
+        state["model"], state["table"], inputs, cfg.noise, cfg.accelerator, cfg.base_seed
+    )
+    path = state.out / "cycles.json"
+    write_json_artifact(path, summary, cfg)
+    return (
+        f"simulated {summary['inputs']} plans: mean speedup {summary['mean_speedup']:.3f} "
+        f"(eligible layers {summary['mean_eligible_speedup']:.3f}) -> {path}"
+    )
+
+
+def stage_report(state: RunState) -> str:
+    """Metric CSVs, sweep tables and L1 histograms."""
+    cfg = state.cfg
+    metrics, cycles = state["metrics"], state["cycles"]
+    hist = build_histograms(state["model"], state["table"], cfg.noise, cfg, state["benign_eval"], state["adv_sets"])
+    write_json_artifact(state.out / "l1_histograms.json", hist, cfg)
+    write_report_csvs(state.out, cfg, metrics, cycles)
+    return f"report CSVs and histograms -> {state.out}"
+
+
+STAGES = (
+    ("data", stage_data),
+    ("train", stage_train),
+    ("profile", stage_profile),
+    ("attack", stage_attack),
+    ("calibrate", stage_calibrate),
+    ("eval", stage_eval),
+    ("simulate", stage_simulate),
+    ("report", stage_report),
+)
+
+
+def run_pipeline(cfg: ExperimentConfig, log=print) -> RunState:
+    """Every stage in order; each hands its artifacts on to the next in memory."""
+    state = RunState(cfg)
+    started = time.monotonic()
+    for name, stage in STAGES:
+        log(f"[pipeline] {name} (+{time.monotonic() - started:.1f}s)")
+        try:
+            stage(state)
+        except ConfigError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
+    log(f"[pipeline] done (+{time.monotonic() - started:.1f}s)")
+    return state
 
 
 def evaluate_attack_sets(
-    model,
-    table,
+    model: Model,
+    table: ThresholdTable,
     det_cfg: DetectorConfig,
-    benign_eval,
-    named_sets,
+    benign_eval: list[np.ndarray],
+    adv_sets: dict[str, list[AdversarialSample]],
     out_dir: Path,
     cfg: ExperimentConfig,
 ) -> tuple[dict[str, dict], float]:
-    """Detection metrics for a benign set plus named adversarial sets.
+    """Detection metrics for a benign set plus each configured attack set.
 
-    named_sets is a list of ({name, kind, param}, samples) pairs; only the
-    successful samples of each set face the detector, matching how the
-    reference results score attacks. The benign side is shared, so it runs
-    once. Verdict logs are written per set.
+    adv_sets maps attack name to samples; only the successful samples of
+    each set face the detector, matching how the reference results score
+    attacks. The benign side is shared, so it runs once. Verdict logs are
+    written per set.
     """
-    benign_verdicts = detect_batch(model, table, det_cfg, benign_eval, "benign")
+    benign_verdicts = detect_set(model, table, det_cfg, benign_eval, "benign")
     benign_fpr = sum(1 for v in benign_verdicts if v.label == "adversarial") / len(benign_verdicts)
     benign_runs = [v.runs_used for v in benign_verdicts]
-    _write_verdict_log(out_dir / "verdicts_benign.jsonl", benign_verdicts, cfg)
+    write_verdict_log(out_dir / "verdicts_benign.jsonl", benign_verdicts, cfg)
     metrics_by_attack: dict[str, dict] = {}
-    for meta, samples in named_sets:
-        successful = [s.perturbed for s in samples if s.success]
-        adv_verdicts = detect_batch(model, table, det_cfg, successful, "adversarial")
+    for spec in cfg.attacks:
+        samples = adv_sets[spec.name]
+        successful = [s for s in samples if s.success]
+        adv_verdicts = detect_set(model, table, det_cfg, [s.perturbed for s in successful], "adversarial")
         detection = (
             sum(1 for v in adv_verdicts if v.label == "adversarial") / len(adv_verdicts)
             if adv_verdicts
             else None
         )
-        mean_l2 = (
-            float(np.mean([s.l2_distortion for s in samples if s.success])) if successful else None
-        )
+        mean_l2 = float(np.mean([s.l2_distortion for s in successful])) if successful else None
         mean_conf = (
-            float(
-                np.mean(
-                    [float(np.max(model.predict(s.perturbed).probs)) for s in samples if s.success]
-                )
-            )
+            float(np.mean([float(np.max(model.predict(s.perturbed).probs)) for s in successful]))
             if successful
             else None
         )
-        l1_to_target = [
-            s.attack_l1_to_target for s in samples if s.success and s.attack_l1_to_target is not None
-        ]
-        metrics_by_attack[meta["name"]] = {
-            "attack": meta["name"],
-            "kind": meta["kind"],
-            "param": meta["param"],
+        l1_to_target = [s.attack_l1_to_target for s in successful if s.attack_l1_to_target is not None]
+        metrics_by_attack[spec.name] = {
+            "attack": spec.name,
+            "kind": spec.kind,
+            "param": spec.param,
             "sources": len(samples),
             "successes": len(successful),
             "success_rate": len(successful) / len(samples) if samples else 0.0,
@@ -532,11 +542,11 @@ def evaluate_attack_sets(
                 float(np.mean([v.runs_used for v in adv_verdicts])) if adv_verdicts else None
             ),
         }
-        _write_verdict_log(out_dir / f"verdicts_{meta['name']}.jsonl", adv_verdicts, cfg)
+        write_verdict_log(out_dir / f"verdicts_{spec.name}.jsonl", adv_verdicts, cfg)
     return metrics_by_attack, benign_fpr
 
 
-def _write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
+def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
     lines = [canonical_json(v.to_json(input_id=i)) for i, v in enumerate(verdicts)]
     prov = provenance(cfg)
     prov["payload_sha256"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -7,8 +7,8 @@ threshold, and weights strictly below the threshold are dropped for that
 pass. High-confidence inputs get more noise: confident benign inputs
 tolerate it, while confidently misclassified adversarial inputs do not.
 
-An alternative study mode perturbs relu outputs multiplicatively instead
-of dropping weights, with one flat level for every input. Ranked by
+The study function `noisy_activation_forward` perturbs relu outputs
+multiplicatively instead of dropping weights, with one flat level for every input. Ranked by
 detection at a matched benign FPR and by AUROC, adaptive sparsification
 beats strong (0.9) flat activation noise but not weak (0.1) flat noise.
 On the acceptance-suite fixture (criterion 7) every benign input is
@@ -37,15 +37,12 @@ class NoiseConfig:
     sr_lo: float = 0.1
     sr_hi: float = 0.8
     gamma: float = 4.0
-    mode: str = "sparsify"  # or "activation"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sr_lo <= self.sr_hi < 1.0:
             raise ValueError(f"need 0 <= sr_lo <= sr_hi < 1, got ({self.sr_lo}, {self.sr_hi})")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.mode not in ("sparsify", "activation"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
 
 
 def confidence(ref: ProbVector) -> float:

@@ -234,7 +234,7 @@ def detection_results(
     benign_eval_inputs, cw_sets, defense_aware_sets,
 ):
     """Detector verdicts for the benign eval set and every attack set."""
-    from stochdet.pipeline import detect_batch
+    from stochdet.detector import detect_set
 
     det_cfg = DetectorConfig(
         thresholds=calibrated_thresholds,
@@ -242,13 +242,13 @@ def detection_results(
         noise=fixture_noise,
         base_seed=FIXTURE_SEED,
     )
-    out = {"benign": detect_batch(fixture_model, fixture_table, det_cfg, benign_eval_inputs, "benign")}
+    out = {"benign": detect_set(fixture_model, fixture_table, det_cfg, benign_eval_inputs, "benign")}
     for k, samples in cw_sets.items():
-        out[f"cw_k{k:g}"] = detect_batch(
+        out[f"cw_k{k:g}"] = detect_set(
             fixture_model, fixture_table, det_cfg, successful_inputs(samples), "adversarial"
         )
     for beta, samples in defense_aware_sets.items():
-        out[f"da_beta{beta:g}"] = detect_batch(
+        out[f"da_beta{beta:g}"] = detect_set(
             fixture_model, fixture_table, det_cfg, successful_inputs(samples), "adversarial"
         )
     return out

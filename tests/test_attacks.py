@@ -1,9 +1,14 @@
 """Target selection, FGSM, CW-L2, the defense-aware attack, and containers."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochdet.attacks import (
+    AdversarialSample,
     AttackConfig,
     AttackError,
     cw_l2,
@@ -261,3 +266,62 @@ def test_adversarial_set_roundtrip(fixture_model, attack_sources):
 def test_adversarial_set_rejects_garbage():
     with pytest.raises(AttackError, match="bad magic"):
         load_adversarial_set(b"garbage" + bytes(32))
+
+
+def _one_sample_set() -> bytes:
+    x = np.linspace(0.0, 1.0, 4).reshape(1, 2, 2)
+    sample = AdversarialSample(
+        original=x, perturbed=1.0 - x, target_class=1, success=True, l2_distortion=0.5,
+        kind="cw_l2", source_class=0,
+    )
+    return save_adversarial_set([sample], attack_meta={"name": "cw_l2_next_k0"})
+
+
+def _with_manifest(manifest: bytes, blob: bytes = b"") -> bytes:
+    return b"SDADVS01" + struct.pack("<Q", len(manifest)) + manifest + blob
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_with_manifest(b"{not json"), "not valid JSON"),
+        (_with_manifest(b"\xff\xfe"), "not valid JSON"),
+        (_with_manifest(b'{"samples": []}'), "blob_bytes"),
+        (_with_manifest(b"[1, 2]"), "mistypes"),
+        (b"SDADVS01" + struct.pack("<Q", 99) + b"{}", "truncated"),
+    ],
+)
+def test_adversarial_set_typed_errors(data, match):
+    with pytest.raises(AttackError, match=match):
+        load_adversarial_set(data)
+
+
+def test_adversarial_set_rejects_out_of_range_offset():
+    blob = _one_sample_set()
+    bad = blob.replace(b'"pert_offset": 32', b'"pert_offset": 33')
+    assert bad != blob
+    with pytest.raises(AttackError, match="blob has only"):
+        load_adversarial_set(bad)
+
+
+def _overwrite(at: int, patch: bytes) -> bytes:
+    blob = _one_sample_set()
+    return blob[:at] + patch + blob[at + len(patch) :]
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(_with_manifest),
+        st.builds(_overwrite, st.integers(0, 400), st.binary(min_size=1, max_size=4)),
+        st.integers(0, 400).map(lambda n: _one_sample_set()[:n]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_adversarial_set_fuzz_yields_typed_error_or_samples(data):
+    try:
+        samples = load_adversarial_set(data)
+    except AttackError:
+        return
+    assert isinstance(samples, list)
+    assert all(isinstance(s, AdversarialSample) for s in samples)

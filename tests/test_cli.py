@@ -45,6 +45,19 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def artifact_payloads(run_dir: Path) -> dict:
+    """Every text artifact's content with its provenance stripped."""
+    payloads = {}
+    for path in sorted(run_dir.iterdir()):
+        if path.suffix == ".json":
+            payloads[path.name] = json.loads(path.read_text())["payload"]
+        elif path.suffix == ".csv":
+            payloads[path.name] = [l for l in path.read_text().splitlines() if not l.startswith("# ")]
+        elif path.suffix == ".jsonl":
+            payloads[path.name] = path.read_text().splitlines()[1:]
+    return payloads
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("pipeline")
@@ -87,12 +100,16 @@ def test_artifacts_embed_config_hash(pipeline_run):
     assert any(f"config_hash={expected_hash}" in line for line in head)
 
 
-def test_verify_passes_on_untampered_run(pipeline_run):
+def test_verify_passes_on_untampered_run(pipeline_run, capsys):
     cfg, _ = pipeline_run
     out = Path(cfg.out_dir)
     for artifact in out.iterdir():
         ok, detail = verify_artifact(artifact)
         assert ok, f"{artifact}: {detail}"
+    assert main(["verify", str(out)]) == 0
+    status = {Path(line.split()[1]).name: line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert status["model.bin"] == status["adv_cw_l2_next_k0.bin"] == "skipped"
+    assert status["metrics.json"] == status["metrics.csv"] == status["verdicts_benign.jsonl"] == "ok"
 
 
 def test_verify_flags_tampering(pipeline_run, tmp_path):
@@ -179,7 +196,30 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
-def test_cli_stage_chain(tmp_path, capsys, monkeypatch):
+def test_partial_sections_keep_experiment_defaults():
+    cfg = ExperimentConfig.from_json({"detector": {"max_runs": 3}})
+    assert cfg.detector.max_runs == 3 and cfg.detector.target_fpr == 0.05
+    cfg = ExperimentConfig.from_json({"train": {"epochs": 2}})
+    assert cfg.train.epochs == 2 and cfg.train.lr == 0.15
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"attacks": [{"kind": "pgd"}]},
+        {"attacks": [{"kind": "cw_l2", "seed": 3}]},
+        {"detector": {"max_run": 3}},
+        {"noise": {"mode": "activation"}},
+    ],
+)
+def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, **override)
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.bin").exists()
+
+
+def test_cli_stage_chain(tmp_path, capsys, pipeline_run):
     """Every stage as its own subcommand, consuming the previous artifacts."""
     cfg_path = write_config(tmp_path)
     out = tmp_path / "run"
@@ -223,10 +263,16 @@ def test_cli_stage_chain(tmp_path, capsys, monkeypatch):
         ]
     ) == 0
     assert (out / "metrics.json").exists()
+    assert main(["simulate", "--config", str(cfg_path), "--model", str(model), "--table", str(table)]) == 0
     assert main(["report", "--config", str(cfg_path), "--model", str(model), "--table", str(table)]) == 0
     assert (out / "metrics.csv").exists()
     assert (out / "l1_histograms.json").exists()
     capsys.readouterr()
+    # the subcommands run the same stage code as `run`, so every payload matches
+    chain, run = artifact_payloads(out), artifact_payloads(Path(pipeline_run[0].out_dir))
+    assert sorted(chain) == sorted(run)
+    for name in run:
+        assert chain[name] == run[name], name
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""L1 metric, detection state machine, calibration, and evaluation."""
+"""L1 metric, detection state machine, calibration, and set evaluation."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,14 @@ from stochdet.detector import (
     DetectorConfig,
     calibrate,
     decide,
-    evaluate,
+    detect_set,
     first_pass_distances,
     l1_distance,
     stochastic_inference,
 )
+from stochdet.attacks import AttackConfig
 from stochdet.nn import ProbVector
+from stochdet.pipeline import ExperimentConfig, evaluate_attack_sets
 from stochdet.rng import derive_seed
 from stochdet.sparsify import NoiseConfig
 
@@ -241,27 +243,36 @@ def test_calibrated_fpr_on_holdout(
 
 
 # ---------------------------------------------------------------------------
-# evaluate
+# set evaluation
 
 
 def test_evaluate_empty_adversarial_reports_not_applicable(
-    fixture_model, fixture_table, fixture_data, calibrated_thresholds
+    fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path
 ):
     _, test_set = fixture_data
     cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=31)
-    metrics, _, _ = evaluate(fixture_model, fixture_table, cfg, test_set.images[:3], [])
-    assert metrics.detection_rate is None
-    assert metrics.adversarial_count == 0
-    assert metrics.mean_runs >= 1.0
+    attack = AttackConfig(kind="cw_l2")
+    metrics, _ = evaluate_attack_sets(
+        fixture_model, fixture_table, cfg, test_set.images[:3], {attack.name: []},
+        tmp_path, ExperimentConfig(attacks=[attack]),
+    )
+    rec = metrics[attack.name]["metrics"]
+    assert rec["detection_rate"] is None
+    assert rec["adversarial_count"] == 0
+    assert rec["mean_runs"] >= 1.0
 
 
-def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
+def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path):
     _, test_set = fixture_data
     cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=37)
-    # pick a benign input the detector clears
-    metrics, benign_v, _ = evaluate(
-        fixture_model, fixture_table, cfg, [test_set.images[0]], []
+    (verdict,) = detect_set(fixture_model, fixture_table, cfg, [test_set.images[0]], "benign")
+    # per-input seeds are keyed by (base_seed, tag, index)
+    alone = DetectorConfig(thresholds=calibrated_thresholds, base_seed=derive_seed(37, "benign", 0))
+    assert verdict == stochastic_inference(fixture_model, fixture_table, test_set.images[0], alone)
+    attack = AttackConfig(kind="cw_l2")
+    metrics, fpr = evaluate_attack_sets(
+        fixture_model, fixture_table, cfg, [test_set.images[0]], {attack.name: []},
+        tmp_path, ExperimentConfig(attacks=[attack]),
     )
-    if benign_v[0].label == "benign":
-        assert metrics.fpr == 0.0
-        assert metrics.tpr == 1.0
+    assert fpr == (1.0 if verdict.label == "adversarial" else 0.0)
+    assert metrics[attack.name]["metrics"]["tpr"] == 1.0 - fpr

@@ -68,8 +68,6 @@ def test_noise_config_validation():
         NoiseConfig(sr_hi=1.0)
     with pytest.raises(ValueError):
         NoiseConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        NoiseConfig(mode="gaussian")
 
 
 # ---------------------------------------------------------------------------
