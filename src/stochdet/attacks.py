@@ -169,8 +169,7 @@ def _targeted_descent(
             fallback = entry
 
     for _ in range(cfg.steps):
-        tanh_w = np.tanh(w)
-        x_adv = (tanh_w + 1.0) / 2.0  # _from_tanh_space(w); tanh_w is reused by the chain rule
+        x_adv = _from_tanh_space(w)
         trace = model.forward_trace(x_adv)
         consider(x_adv, trace.logits, trace.probs)
         _, dlogits, dx_direct = loss.value_and_grads(trace.logits, trace.probs, x_adv)
@@ -178,7 +177,7 @@ def _targeted_descent(
         if dx_direct is not None:
             dx = dx + dx_direct
         # chain through x = (tanh(w) + 1) / 2
-        dw = dx * (1.0 - tanh_w**2) / 2.0
+        dw = dx * (1.0 - np.tanh(w) ** 2) / 2.0
         w = w - cfg.step_size * dw
     x_adv = _from_tanh_space(w)
     trace = model.forward_trace(x_adv)

@@ -215,9 +215,7 @@ class Trace:
                 h_out = (h - spec.kernel) // spec.stride + 1
                 w_out = (w - spec.kernel) // spec.stride + 1
                 d = d.reshape(p["w"].shape[0], h_out, w_out)
-                dx, dw, db = nn.conv2d_backward(
-                    d, x_in, p["w"], spec.stride, mask=mask, cache=self.caches[idx], param_grads=want_param_grads
-                )
+                dx, dw, db = nn.conv2d_backward(d, x_in, p["w"], spec.stride, mask=mask, cache=self.caches[idx])
                 if grads is not None:
                     grads[idx] = {"w": dw, "b": db}
                 d = dx
@@ -228,7 +226,7 @@ class Trace:
                 d = nn.maxpool2d_backward(d.reshape(c, h // 2, w // 2), x_in, cache=self.caches[idx])
             elif spec.kind == "dense":
                 p = self.model.params[idx]
-                dx, dw, db = nn.dense_backward(d.ravel(), x_in, p["w"], mask=mask, param_grads=want_param_grads)
+                dx, dw, db = nn.dense_backward(d.ravel(), x_in, p["w"], mask=mask)
                 if grads is not None:
                     grads[idx] = {"w": dw, "b": db}
                 d = dx

@@ -14,7 +14,6 @@ a dense pass over a copy of the model whose masked weights are zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,23 +73,13 @@ def conv2d_forward(
     return y.reshape(c_out, h_out, w_out)
 
 
-@lru_cache(maxsize=64)
-def _patch_index(x_shape: tuple, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    """Flat input offset of every (c, i, j, y, x) im2col entry, in row-major order."""
-    c_in, h, w = x_shape
-    c = np.arange(c_in)[:, None, None, None, None] * (h * w)
-    i = np.arange(kh)[None, :, None, None, None] * w
-    j = np.arange(kw)[None, None, :, None, None]
-    y = np.arange(h_out)[None, None, None, :, None] * (stride * w)
-    x = np.arange(w_out)[None, None, None, None, :] * stride
-    idx = (c + i + j + y + x).ravel()
-    idx.flags.writeable = False
-    return idx
-
-
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    idx = _patch_index(x.shape, kh, kw, stride, h_out, w_out)
-    return x.ravel()[idx].reshape(x.shape[0] * kh * kw, h_out * w_out)
+    c_in = x.shape[0]
+    cols = np.empty((c_in, kh, kw, h_out, w_out), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+    return cols.reshape(c_in * kh * kw, h_out * w_out)
 
 
 def conv2d_backward(
@@ -100,26 +89,22 @@ def conv2d_backward(
     stride: int = 1,
     mask: np.ndarray | None = None,
     cache: dict | None = None,
-    param_grads: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dx, dw, db) of a conv2d_forward call.
 
     dx is computed against the effective (masked) weights; dw is the raw
     gradient and is only meaningful for mask-free (training) passes.
-    With param_grads=False only dx is computed, and dw and db are None.
     """
     dy = _as_f64(dy)
     c_out, c_in, kh, kw = w.shape
     h_out, w_out = dy.shape[1], dy.shape[2]
+    if cache is not None and "cols" in cache:
+        cols = cache["cols"]
+    else:
+        cols = _im2col(_as_f64(x), kh, kw, stride, h_out, w_out)
     dy_flat = dy.reshape(c_out, -1)
-    dw = db = None
-    if param_grads:
-        if cache is not None and "cols" in cache:
-            cols = cache["cols"]
-        else:
-            cols = _im2col(_as_f64(x), kh, kw, stride, h_out, w_out)
-        dw = (dy_flat @ cols.T).reshape(w.shape)
-        db = dy_flat.sum(axis=1)
+    dw = (dy_flat @ cols.T).reshape(w.shape)
+    db = dy_flat.sum(axis=1)
     w_eff = _apply_mask(_as_f64(w), mask)
     dcols = w_eff.reshape(c_out, -1).T @ dy_flat
     dx = _col2im(dcols, x.shape, kh, kw, stride, h_out, w_out)
@@ -129,11 +114,13 @@ def conv2d_backward(
 def _col2im(
     dcols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, h_out: int, w_out: int
 ) -> np.ndarray:
-    # bincount adds each input position's contributions in (i, j) order
-    # starting from 0.0, the same order as a slice-by-slice accumulation
-    idx = _patch_index(tuple(x_shape), kh, kw, stride, h_out, w_out)
-    dx = np.bincount(idx, weights=dcols.ravel(), minlength=int(np.prod(x_shape)))
-    return dx.reshape(x_shape)
+    c_in = x_shape[0]
+    dx = np.zeros(x_shape, dtype=np.float64)
+    dcols = dcols.reshape(c_in, kh, kw, h_out, w_out)
+    for i in range(kh):
+        for j in range(kw):
+            dx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +135,6 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _as_f64(dy) * (x > 0)
 
 
-def _pool_windows(x: np.ndarray) -> np.ndarray:
-    """The 2x2 windows of x[C,H,W] as rows of a (C*H/2*W/2, 4) array."""
-    c, h, w = x.shape
-    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
-
-
-def _pool_argmax(windows: np.ndarray) -> np.ndarray:
-    """Flat index into the windows array of each window's (first) maximum."""
-    return windows.argmax(axis=-1) + 4 * np.arange(windows.shape[0])
-
-
 def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """2x2 max pooling with stride 2; extents must be even."""
     x = _as_f64(x)
@@ -167,20 +143,24 @@ def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
-    windows = _pool_windows(x)
-    idx = _pool_argmax(windows)
+    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
+    idx = windows.argmax(axis=-1)
     if cache is not None:
         cache["idx"] = idx
         cache["x_shape"] = x.shape
-    return windows.ravel()[idx].reshape(c, h // 2, w // 2)
+    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
 
 def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     x = _as_f64(x)
     c, h, w = x.shape
-    idx = cache["idx"] if cache is not None and "idx" in cache else _pool_argmax(_pool_windows(x))
-    dwin = np.zeros(x.size, dtype=np.float64)
-    dwin[idx] = _as_f64(dy).ravel()
+    if cache is not None and "idx" in cache:
+        idx = cache["idx"]
+    else:
+        windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
+        idx = windows.argmax(axis=-1)
+    dwin = np.zeros((c, h // 2, w // 2, 4), dtype=np.float64)
+    np.put_along_axis(dwin, idx[..., None], _as_f64(dy)[..., None], axis=-1)
     return dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
 
 
@@ -202,14 +182,12 @@ def dense_forward(
 
 
 def dense_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None, param_grads: bool = True
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Gradients (dx, dw, db) of a dense_forward call; dw and db are None unless param_grads."""
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dy = _as_f64(dy)
-    dw = db = None
-    if param_grads:
-        dw = np.outer(dy, _as_f64(x).ravel())
-        db = dy.copy()
+    x_flat = _as_f64(x).ravel()
+    dw = np.outer(dy, x_flat)
+    db = dy.copy()
     dx = _apply_mask(_as_f64(w), mask).T @ dy
     return dx.reshape(np.shape(x)), dw, db
 
