@@ -31,6 +31,7 @@ from .pipeline import (
     StageError,
     default_config,
     run_pipeline,
+    stage_train,
     verify_artifact,
     write_verdict_log,
 )
@@ -97,6 +98,14 @@ def _stage_command(stage):
         return EXIT_OK
 
     return cmd
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
+    if cfg.model_path:
+        raise ConfigError(f"train always trains a new model; the config names model_path {cfg.model_path!r}")
+    print(stage_train(RunState(cfg)))
+    return EXIT_OK
 
 
 def cmd_detect(args) -> int:
@@ -194,7 +203,8 @@ _COMMANDS = {
     "run": cmd_run,
     "detect": cmd_detect,
     "verify": cmd_verify,
-    **{name: _stage_command(stage) for name, stage in STAGES if name != "data"},
+    **{name: _stage_command(stage) for name, stage in STAGES if name not in ("data", "train")},
+    "train": cmd_train,
 }
 
 

@@ -71,7 +71,7 @@ class DetectionThresholds:
 @dataclass
 class DetectorConfig:
     thresholds: DetectionThresholds
-    max_runs: int = 5
+    max_runs: int
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     base_seed: int = 0
 

@@ -210,6 +210,8 @@ def test_partial_sections_keep_experiment_defaults():
         {"attacks": [{"kind": "cw_l2", "seed": 3}]},
         {"detector": {"max_run": 3}},
         {"noise": {"mode": "activation"}},
+        {"train": {"batch_size": 0}},
+        {"train": {"epochs": "3"}},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
@@ -217,6 +219,13 @@ def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.bin").exists()
+
+
+def test_train_command_refuses_a_config_model(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, model_path=str(tmp_path / "elsewhere.bin"))
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "model_path" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "train_report.json").exists()
 
 
 def test_cli_stage_chain(tmp_path, capsys, pipeline_run):

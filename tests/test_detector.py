@@ -174,7 +174,7 @@ def test_zero_noise_degeneracy(fixture_model, fixture_table, fixture_data):
 
 def test_detector_deterministic(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=17)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=17)
     x = test_set.images[42]
     a = stochastic_inference(fixture_model, fixture_table, x, cfg)
     b = stochastic_inference(fixture_model, fixture_table, x, cfg)
@@ -186,7 +186,7 @@ def test_detector_deterministic(fixture_model, fixture_table, fixture_data, cali
 
 def test_history_bounded_and_consistent(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=23)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=23)
     for x in test_set.images[:20]:
         v = stochastic_inference(fixture_model, fixture_table, x, cfg)
         assert v.runs_used == len(v.l1_history)
@@ -197,7 +197,7 @@ def test_history_bounded_and_consistent(fixture_model, fixture_table, fixture_da
 
 def test_verdict_json_record(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=29)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=29)
     v = stochastic_inference(fixture_model, fixture_table, test_set.images[0], cfg)
     rec = v.to_json(input_id=7)
     assert set(rec) == {"input_id", "label", "final_class", "runs_used", "l1_history", "terminated_by"}
@@ -250,7 +250,7 @@ def test_evaluate_empty_adversarial_reports_not_applicable(
     fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path
 ):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=31)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=31)
     attack = AttackConfig(kind="cw_l2")
     metrics, _ = evaluate_attack_sets(
         fixture_model, fixture_table, cfg, test_set.images[:3], {attack.name: []},
@@ -264,10 +264,10 @@ def test_evaluate_empty_adversarial_reports_not_applicable(
 
 def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, base_seed=37)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=37)
     (verdict,) = detect_set(fixture_model, fixture_table, cfg, [test_set.images[0]], "benign")
     # per-input seeds are keyed by (base_seed, tag, index)
-    alone = DetectorConfig(thresholds=calibrated_thresholds, base_seed=derive_seed(37, "benign", 0))
+    alone = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=derive_seed(37, "benign", 0))
     assert verdict == stochastic_inference(fixture_model, fixture_table, test_set.images[0], alone)
     attack = AttackConfig(kind="cw_l2")
     metrics, fpr = evaluate_attack_sets(
