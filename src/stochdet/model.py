@@ -318,7 +318,7 @@ class TrainConfig:
         counts_ok = all(isinstance(v, int) for v in (self.epochs, self.seed, self.batch_size))
         if not (counts_ok and self.epochs >= 0 and self.batch_size >= 1 and self.lr > 0 and self.weight_decay >= 0):
             raise ValueError(
-                "need integer epochs >= 0, seed and batch_size >= 1, lr > 0 and weight_decay >= 0; got "
+                "need integer epochs >= 0, integer seed, integer batch_size >= 1, lr > 0 and weight_decay >= 0; got "
                 f"({self.epochs!r}, {self.seed!r}, {self.batch_size!r}, {self.lr!r}, {self.weight_decay!r})"
             )
 
