@@ -36,14 +36,10 @@ class ScheduleError(ValueError):
 class AcceleratorConfig:
     group_size: int = 4
     lookahead: int = 4
-    tiles: int = 1
 
     def __post_init__(self) -> None:
-        if self.group_size < 1 or self.lookahead < 1 or self.tiles < 1:
-            raise ValueError(
-                f"group_size, lookahead, tiles must all be >= 1, got "
-                f"({self.group_size}, {self.lookahead}, {self.tiles})"
-            )
+        if self.group_size < 1 or self.lookahead < 1:
+            raise ValueError(f"group_size and lookahead must be >= 1, got ({self.group_size}, {self.lookahead})")
 
 
 @dataclass
@@ -216,28 +212,21 @@ def simulate_layer(
         cycles_per_pos += c
         idle_per_pos += i
         stalls_per_pos += s
-    n_groups = len(schedule.groups)
-    dense = positions * n_groups * weights_per_filter
     return LayerCycleReport(
         layer_idx=layer_idx,
         kind=model.layers[layer_idx].kind,
         eligible=True,
-        dense_cycles=_tile(dense, cfg.tiles),
-        sparse_cycles=_tile(positions * cycles_per_pos, cfg.tiles),
+        dense_cycles=positions * len(schedule.groups) * weights_per_filter,
+        sparse_cycles=positions * cycles_per_pos,
         idle_mac_slots=positions * idle_per_pos,
         stall_cycles=positions * stalls_per_pos,
     )
 
 
-def _tile(cycles: int, tiles: int) -> int:
-    # parallel tiles split whole groups; model as an even ceil division
-    return -(-cycles // tiles)
-
-
 def _dense_layer_report(model: Model, layer_idx: int, cfg: AcceleratorConfig) -> LayerCycleReport:
     filters = model.filter_matrix(layer_idx)
     n_groups = -(-filters.shape[0] // cfg.group_size)
-    cycles = _tile(model.output_positions(layer_idx) * n_groups * filters.shape[1], cfg.tiles)
+    cycles = model.output_positions(layer_idx) * n_groups * filters.shape[1]
     return LayerCycleReport(
         layer_idx=layer_idx,
         kind=model.layers[layer_idx].kind,

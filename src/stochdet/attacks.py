@@ -19,13 +19,12 @@ under a fixed seed.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, input_gradient
+from .model import Model, input_gradient, read_blob_array, read_container
 from .nn import CompositeLoss, CrossEntropyLoss, ProbVector
 
 _ATANH_CLIP = 1.0 - 1e-6  # keeps atanh finite for pixels at exactly 0 or 1
@@ -81,9 +80,6 @@ class AdversarialSample:
     source_class: int
     attack_l1_to_target: float | None = None  # defense_aware only
 
-    def perturbation_linf(self) -> float:
-        return float(np.abs(self.perturbed - self.original).max())
-
 
 def select_target(ref: ProbVector, mode: str) -> int:
     """Attack target from the reference distribution; ties take the lowest index."""
@@ -103,12 +99,11 @@ def l2_distortion(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def fgsm(model: Model, x: np.ndarray, eps: float, label: int | None = None) -> AdversarialSample:
-    """x' = clip(x + eps * sign(dCE/dx)); untargeted."""
+def fgsm(model: Model, x: np.ndarray, eps: float) -> AdversarialSample:
+    """x' = clip(x + eps * sign(dCE/dx)); untargeted, away from the predicted class."""
     if not 0.0 <= eps < 1.0:
         raise AttackError(f"eps must be in [0, 1), got {eps}")
-    ref = model.predict(x)
-    src = ref.top_class if label is None else int(label)
+    src = model.predict(x).top_class
     grad = input_gradient(model, x, CrossEntropyLoss(src))
     perturbed = np.clip(x + eps * np.sign(grad), 0.0, 1.0)
     final = model.predict(perturbed).top_class
@@ -329,26 +324,12 @@ def save_adversarial_set(
 
 
 def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample], dict]:
-    if len(data) < len(_SET_MAGIC) + 8 or data[: len(_SET_MAGIC)] != _SET_MAGIC:
-        raise AttackError("not an adversarial-set container (bad magic)")
-    (manifest_len,) = struct.unpack_from("<Q", data, len(_SET_MAGIC))
-    header_end = len(_SET_MAGIC) + 8
-    if len(data) < header_end + manifest_len:
-        raise AttackError("truncated manifest")
+    manifest, blob = read_container(data, _SET_MAGIC, AttackError)
     try:
-        manifest = json.loads(data[header_end : header_end + manifest_len])
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise AttackError(f"manifest is not valid JSON: {exc}") from exc
-    blob = data[header_end + manifest_len :]
-    try:
-        if len(blob) != manifest["blob_bytes"]:
-            raise AttackError(
-                f"adversarial blob has {len(blob)} bytes, manifest declares {manifest['blob_bytes']}"
-            )
         samples = [
             AdversarialSample(
-                original=_read_set_array(blob, e["orig_offset"], e["shape"]),
-                perturbed=_read_set_array(blob, e["pert_offset"], e["shape"]),
+                original=read_blob_array(blob, e["orig_offset"], e["shape"], AttackError),
+                perturbed=read_blob_array(blob, e["pert_offset"], e["shape"], AttackError),
                 target_class=e["target_class"],
                 success=e["success"],
                 l2_distortion=e["l2_distortion"],
@@ -361,16 +342,6 @@ def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample]
         return samples, manifest.get("attack", {})
     except (KeyError, TypeError) as exc:
         raise AttackError(f"manifest lacks or mistypes a field: {exc!r}") from exc
-
-
-def _read_set_array(blob: bytes, offset: int, shape: list[int]) -> np.ndarray:
-    if type(offset) is not int or not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
-        raise AttackError(f"bad sample array offset {offset!r} or shape {shape!r}")
-    count = math.prod(shape)
-    end = offset + count * 8
-    if offset < 0 or end > len(blob):
-        raise AttackError(f"sample array needs bytes [{offset}, {end}) but the blob has only {len(blob)}")
-    return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
 
 
 def load_adversarial_set(data: bytes) -> list[AdversarialSample]:

@@ -29,7 +29,6 @@ from .pipeline import (
     ExperimentConfig,
     RunState,
     StageError,
-    default_config,
     run_pipeline,
     stage_train,
     verify_artifact,
@@ -43,6 +42,7 @@ EXIT_STAGE = 3
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
@@ -51,8 +51,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        cfg = default_config()
     # flag overrides
     if getattr(args, "base_seed", None) is not None:
         cfg.base_seed = args.base_seed

@@ -11,6 +11,7 @@ IDX is the classic big-endian binary format: two zero bytes, a type code
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -66,20 +67,14 @@ def _paint_pattern(canvas: np.ndarray, label: int, top: int, left: int, side: in
         raise ValueError(f"no pattern for label {label}")
 
 
-def synth_dataset(
-    seed: int,
-    count: int,
-    image_size: int = DEFAULT_IMAGE_SIZE,
-    class_count: int = 4,
-) -> Dataset:
-    """Deterministic 4-class synthetic corpus; same seed, same bytes."""
+def synth_dataset(seed: int, count: int, image_size: int = DEFAULT_IMAGE_SIZE) -> Dataset:
+    """Deterministic synthetic corpus of the CLASS_NAMES shapes; same seed, same bytes."""
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if image_size < 12:
         raise ValueError(f"image_size must be at least 12, got {image_size}")
-    if class_count != 4:
-        raise ValueError("the synthetic generator defines exactly 4 classes")
 
+    class_count = len(CLASS_NAMES)
     rng = substream(seed, "synth")
     side = image_size // 2
     base = (image_size - side) // 2
@@ -98,20 +93,6 @@ def synth_dataset(
         images.append(img[None, :, :])
         labels.append(label)
     return Dataset(images=images, labels=labels, class_count=class_count)
-
-
-def synth_split(
-    seed: int,
-    train_count: int,
-    test_count: int,
-    image_size: int = DEFAULT_IMAGE_SIZE,
-) -> tuple[Dataset, Dataset]:
-    """Disjoint train/test sets from named substreams of one seed."""
-    from .rng import derive_seed
-
-    train = synth_dataset(derive_seed(seed, "train"), train_count, image_size)
-    test = synth_dataset(derive_seed(seed, "test"), test_count, image_size)
-    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +114,13 @@ def parse_idx(data: bytes) -> np.ndarray:
         raise IdxFormatError(f"bad magic: first two bytes are {zero0:#04x} {zero1:#04x}, expected zeros")
     if type_code != _IDX_UBYTE:
         raise IdxFormatError(f"unsupported type code {type_code:#04x}; only unsigned byte (0x08) is supported")
+    if ndim == 0:
+        raise IdxFormatError("rank 0: an IDX stream needs at least one extent")
     header_len = 4 + 4 * ndim
     if len(data) < header_len:
         raise IdxFormatError(f"truncated header: {len(data)} bytes cannot hold {ndim} extents")
     extents = struct.unpack(f">{ndim}I", data[4:header_len])
-    payload_len = int(np.prod(extents, dtype=np.int64)) if ndim else 0
+    payload_len = math.prod(extents)  # exact: a numpy product can wrap to a small length
     payload = data[header_len:]
     if len(payload) != payload_len:
         raise IdxFormatError(
@@ -161,7 +144,7 @@ def serialize_idx(array: np.ndarray) -> bytes:
     return header + raw.tobytes()
 
 
-def load_idx_dataset(images_bytes: bytes, labels_bytes: bytes, class_count: int | None = None) -> Dataset:
+def load_idx_dataset(images_bytes: bytes, labels_bytes: bytes) -> Dataset:
     images = parse_idx(images_bytes)
     labels = parse_idx(labels_bytes)
     if images.ndim != 3:
@@ -170,9 +153,10 @@ def load_idx_dataset(images_bytes: bytes, labels_bytes: bytes, class_count: int 
         raise IdxFormatError(f"label file must be 1-d, got {labels.ndim} dims")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    n_classes = class_count if class_count is not None else int(labels.max()) + 1
+    if not labels.size:
+        raise IdxFormatError("the IDX files hold no samples")
     return Dataset(
         images=[images[i][None, :, :] for i in range(images.shape[0])],
         labels=[int(v) for v in labels],
-        class_count=n_classes,
+        class_count=int(labels.max()) + 1,
     )

@@ -17,7 +17,7 @@ quantile calibration; adversarial data is never needed to deploy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -26,6 +26,9 @@ from .model import Model, ThresholdTable
 from .nn import ProbVector
 from .rng import derive_seed
 from .sparsify import NoiseConfig, confidence, draw_plan, noise_budget, noisy_forward
+
+# benign first-pass distances calibrate needs for stable upper quantiles
+MIN_CALIBRATION_SAMPLES = 100
 
 
 def l1_distance(p: ProbVector | np.ndarray, q: ProbVector | np.ndarray) -> float:
@@ -56,12 +59,7 @@ class DetectionThresholds:
                 raise ValueError(f"threshold {v} outside [0, 2]")
 
     def to_json(self) -> dict:
-        return {
-            "t1_greedy": self.t1_greedy,
-            "t2_greedy": self.t2_greedy,
-            "t1_avg": self.t1_avg,
-            "t2_avg": self.t2_avg,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetectionThresholds":
@@ -89,16 +87,7 @@ class DetectionVerdict:
     terminated_by: str  # "greedy" | "average" | "cap"
 
     def to_json(self, input_id: str | int | None = None) -> dict:
-        rec = {
-            "label": self.label,
-            "final_class": self.final_class,
-            "runs_used": self.runs_used,
-            "l1_history": self.l1_history,
-            "terminated_by": self.terminated_by,
-        }
-        if input_id is not None:
-            rec = {"input_id": input_id, **rec}
-        return rec
+        return asdict(self) if input_id is None else {"input_id": input_id, **asdict(self)}
 
 
 def decide(
@@ -133,24 +122,30 @@ def decide(
     return label, max_runs, history, "cap"
 
 
+def _noisy_passes(
+    model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
+) -> tuple[ProbVector, Callable[[int], float]]:
+    """The reference output of x and the L1 distance of its noisy pass i.
+
+    The reference output and the noise budget are computed once and reused
+    for every pass. Pass seeds derive from (base_seed, pass index), so
+    speculative or parallel execution of later passes cannot change them.
+    """
+    ref = model.predict(x)
+    budget = noise_budget(confidence(ref), noise)
+
+    def pass_distance(i: int) -> float:
+        plan = draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
+        return l1_distance(noisy_forward(model, plan, x), ref)
+
+    return ref, pass_distance
+
+
 def stochastic_inference(
     model: Model, table: ThresholdTable, x: np.ndarray, cfg: DetectorConfig
 ) -> DetectionVerdict:
-    """Full detection for one input.
-
-    The reference output is computed once and reused for every distance.
-    Pass seeds derive from (base_seed, pass index), so speculative or
-    parallel execution of later passes cannot change the verdict.
-    """
-    ref = model.predict(x)
-    budget = noise_budget(confidence(ref), cfg.noise)
-
-    def pass_distance(i: int) -> float:
-        seed = derive_seed(cfg.base_seed, "pass", i)
-        plan = draw_plan(model, table, budget, seed)
-        noisy = noisy_forward(model, plan, x)
-        return l1_distance(noisy, ref)
-
+    """Full detection for one input."""
+    ref, pass_distance = _noisy_passes(model, table, x, cfg.noise, cfg.base_seed)
     label, runs, history, reason = decide(pass_distance, cfg.thresholds, cfg.max_runs)
     return DetectionVerdict(
         label=label,
@@ -184,10 +179,7 @@ def first_pass_distance(
     model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
 ) -> float:
     """The d_1 a detector with this base_seed would observe for x."""
-    ref = model.predict(x)
-    budget = noise_budget(confidence(ref), noise)
-    plan = draw_plan(model, table, budget, derive_seed(base_seed, "pass", 1))
-    return l1_distance(noisy_forward(model, plan, x), ref)
+    return _noisy_passes(model, table, x, noise, base_seed)[1](1)
 
 
 def first_pass_distances(
@@ -211,7 +203,7 @@ def calibration_distances(
     inputs: list[np.ndarray],
     noise: NoiseConfig,
     base_seed: int,
-    passes: int = 8,
+    passes: int,
 ) -> np.ndarray:
     """Several independent first-pass distances per calibration input.
 
@@ -237,8 +229,8 @@ def calibrate(benign_l1_samples: np.ndarray, target_fpr: float) -> DetectionThre
     invariant is enforced by clamping and everything is clipped to [0, 2].
     """
     samples = np.asarray(benign_l1_samples, dtype=np.float64).ravel()
-    if samples.size < 100:
-        raise ValueError(f"calibration needs at least 100 benign samples, got {samples.size}")
+    if samples.size < MIN_CALIBRATION_SAMPLES:
+        raise ValueError(f"calibration needs at least {MIN_CALIBRATION_SAMPLES} benign samples, got {samples.size}")
     if not 0.0 < target_fpr < 1.0:
         raise ValueError(f"target_fpr must be in (0, 1), got {target_fpr}")
     t2_avg = float(np.quantile(samples, 1.0 - target_fpr))

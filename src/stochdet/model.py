@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -55,9 +56,12 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in LAYER_KINDS:
             raise ModelFormatError(f"unknown layer kind {self.kind!r}")
+        sizes = {"conv2d": (self.out_channels, self.kernel, self.stride), "dense": (self.out_features,)}
+        if not all(type(v) is int and v >= 1 for v in sizes.get(self.kind, ())):
+            raise ModelFormatError(f"{self.kind} layer sizes must be positive integers, got {sizes[self.kind]}")
 
 
-def conv_pool_arch(channels: tuple[int, ...] = (8, 16), kernel: int = 3, class_count: int = 4) -> list[LayerSpec]:
+def conv_pool_arch(channels: tuple[int, ...], kernel: int, class_count: int) -> list[LayerSpec]:
     """conv/relu/pool blocks followed by dense+softmax.
 
     The first conv is excluded from noise by default: it feeds every later
@@ -84,7 +88,7 @@ class Model:
 
     def __post_init__(self) -> None:
         if not self.layer_input_shapes:
-            self.layer_input_shapes = _propagate_shapes(self.layers, self.params, self.input_shape)
+            self.layer_input_shapes = _propagate_shapes(self.layers, self.input_shape)
 
     # ---- inference -------------------------------------------------
 
@@ -149,13 +153,7 @@ class Model:
 
     def output_positions(self, layer_idx: int) -> int:
         """Spatial output positions a filter is applied at (1 for dense)."""
-        spec = self.layers[layer_idx]
-        if spec.kind == "dense":
-            return 1
-        c, h, w = self.layer_input_shapes[layer_idx]
-        h_out = (h - spec.kernel) // spec.stride + 1
-        w_out = (w - spec.kernel) // spec.stride + 1
-        return h_out * w_out
+        return math.prod(self.layer_input_shapes[layer_idx + 1][1:])
 
     def fingerprint(self) -> str:
         # models are immutable once trained or loaded, so cache after first use
@@ -209,24 +207,20 @@ class Trace:
             mask = self.masks.get(idx)
             if spec.kind == "softmax":
                 continue  # losses are seeded at the logits
+            d = d.reshape(self.model.layer_input_shapes[idx + 1])  # this layer's output shape
             if spec.kind == "conv2d":
                 p = self.model.params[idx]
-                c, h, w = x_in.shape
-                h_out = (h - spec.kernel) // spec.stride + 1
-                w_out = (w - spec.kernel) // spec.stride + 1
-                d = d.reshape(p["w"].shape[0], h_out, w_out)
                 dx, dw, db = nn.conv2d_backward(d, x_in, p["w"], spec.stride, mask=mask, cache=self.caches[idx])
                 if grads is not None:
                     grads[idx] = {"w": dw, "b": db}
                 d = dx
             elif spec.kind == "relu":
-                d = nn.relu_backward(d.reshape(x_in.shape), x_in)
+                d = nn.relu_backward(d, x_in)
             elif spec.kind == "maxpool2d":
-                c, h, w = x_in.shape
-                d = nn.maxpool2d_backward(d.reshape(c, h // 2, w // 2), x_in, cache=self.caches[idx])
+                d = nn.maxpool2d_backward(d, x_in, cache=self.caches[idx])
             elif spec.kind == "dense":
                 p = self.model.params[idx]
-                dx, dw, db = nn.dense_backward(d.ravel(), x_in, p["w"], mask=mask)
+                dx, dw, db = nn.dense_backward(d, x_in, p["w"], mask=mask)
                 if grads is not None:
                     grads[idx] = {"w": dw, "b": db}
                 d = dx
@@ -253,11 +247,18 @@ def loss_value(model: Model, x: np.ndarray, loss) -> float:
 # construction / training
 
 
-def _propagate_shapes(layers, params, input_shape) -> list[tuple]:
+def _propagate_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple]:
+    """The input shape of every layer; the one place layer shapes are derived."""
+    if not layers or layers[-1].kind != "softmax":
+        raise ModelFormatError("architecture must end in softmax")
+    shape = tuple(input_shape)
+    if len(shape) != 3 or not all(type(v) is int and v >= 1 for v in shape):
+        raise nn.ShapeError(f"input shape must be three positive integers, got {shape}")
     shapes = []
-    shape: tuple = tuple(input_shape)
     for idx, spec in enumerate(layers):
         shapes.append(shape)
+        if spec.kind in ("conv2d", "maxpool2d") and len(shape) != 3:
+            raise nn.ShapeError(f"layer {idx}: {spec.kind} needs a (C, H, W) input, got {shape}")
         if spec.kind == "conv2d":
             c, h, w = shape
             if h < spec.kernel or w < spec.kernel:
@@ -277,42 +278,39 @@ def _propagate_shapes(layers, params, input_shape) -> list[tuple]:
     return shapes
 
 
+def _param_shapes(spec: LayerSpec, in_shape: tuple) -> tuple[tuple, tuple]:
+    """(weight, bias) shapes of a conv2d or dense layer fed in_shape."""
+    if spec.kind == "conv2d":
+        return (spec.out_channels, in_shape[0], spec.kernel, spec.kernel), (spec.out_channels,)
+    return (spec.out_features, math.prod(in_shape)), (spec.out_features,)
+
+
 def init_model(
     arch: list[LayerSpec], input_shape: tuple[int, int, int], class_count: int, seed: int
 ) -> Model:
     """He-initialized weights, deterministic in the seed."""
-    if arch[-1].kind != "softmax":
-        raise ModelFormatError("architecture must end in softmax")
+    shapes = _propagate_shapes(arch, input_shape)
     params: dict[int, dict[str, np.ndarray]] = {}
-    shape: tuple = tuple(input_shape)
     for idx, spec in enumerate(arch):
-        if spec.kind == "conv2d":
-            c_in = shape[0]
-            fan_in = c_in * spec.kernel * spec.kernel
-            w = substream(seed, "init", idx).normal(0.0, np.sqrt(2.0 / fan_in), size=(spec.out_channels, c_in, spec.kernel, spec.kernel))
-            params[idx] = {"w": w, "b": np.zeros(spec.out_channels)}
-            shape = (
-                spec.out_channels,
-                (shape[1] - spec.kernel) // spec.stride + 1,
-                (shape[2] - spec.kernel) // spec.stride + 1,
-            )
-        elif spec.kind == "maxpool2d":
-            shape = (shape[0], shape[1] // 2, shape[2] // 2)
-        elif spec.kind == "dense":
-            n_in = int(np.prod(shape))
-            w = substream(seed, "init", idx).normal(0.0, np.sqrt(1.0 / n_in), size=(spec.out_features, n_in))
-            params[idx] = {"w": w, "b": np.zeros(spec.out_features)}
-            shape = (spec.out_features,)
-    return Model(layers=arch, params=params, class_count=class_count, input_shape=tuple(input_shape))
+        if spec.kind in PARAMETRIC_KINDS:
+            w_shape, b_shape = _param_shapes(spec, shapes[idx])
+            gain = 2.0 if spec.kind == "conv2d" else 1.0
+            w = substream(seed, "init", idx).normal(0.0, np.sqrt(gain / math.prod(w_shape[1:])), size=w_shape)
+            params[idx] = {"w": w, "b": np.zeros(b_shape)}
+    return Model(
+        layers=arch, params=params, class_count=class_count, input_shape=tuple(input_shape), layer_input_shapes=shapes
+    )
 
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.1
-    epochs: int = 10
-    seed: int = 0
+    """The experiment's training settings."""
+
+    lr: float = 0.15
+    epochs: int = 16
+    seed: int = 11
     batch_size: int = 16
-    weight_decay: float = 0.0  # L2 on weights only; biases stay unregularized
+    weight_decay: float = 1e-4  # L2 on weights only; biases stay unregularized
 
     def __post_init__(self) -> None:
         counts_ok = all(isinstance(v, int) for v in (self.epochs, self.seed, self.batch_size))
@@ -434,59 +432,77 @@ def save_model(model: Model, provenance: dict | None = None) -> bytes:
     return _MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + bytes(blob)
 
 
-def load_model(data: bytes) -> Model:
-    if len(data) < len(_MAGIC) + 8 or data[: len(_MAGIC)] != _MAGIC:
-        raise ModelFormatError("not a model container (bad magic)")
-    (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
-    header_end = len(_MAGIC) + 8
+def read_container(data: bytes, magic: bytes, error: type[Exception]) -> tuple[dict, bytes]:
+    """Manifest and blob of a container: magic, u64 manifest length, JSON manifest, blob.
+
+    Every framing fault raises `error`, the caller's typed exception.
+    """
+    header_end = len(magic) + 8
+    if len(data) < header_end or data[: len(magic)] != magic:
+        raise error(f"not a {magic.decode()} container (bad magic)")
+    (manifest_len,) = struct.unpack_from("<Q", data, len(magic))
     if len(data) < header_end + manifest_len:
-        raise ModelFormatError("truncated manifest")
+        raise error("truncated manifest")
     try:
         manifest = json.loads(data[header_end : header_end + manifest_len])
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"manifest is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise error(f"manifest mistypes its root: need a JSON object, got {type(manifest).__name__}")
     blob = data[header_end + manifest_len :]
-    if len(blob) != manifest["blob_bytes"]:
-        raise ModelFormatError(
-            f"weight blob has {len(blob)} bytes, manifest declares {manifest['blob_bytes']}"
-        )
-    layers: list[LayerSpec] = []
-    params: dict[int, dict[str, np.ndarray]] = {}
-    for idx, entry in enumerate(manifest["layers"]):
-        kind = entry["kind"]
-        if kind not in LAYER_KINDS:
-            raise ModelFormatError(f"layer {idx}: unknown layer kind {kind!r}")
-        spec = LayerSpec(
-            kind,
-            out_channels=entry.get("out_channels", 0),
-            kernel=entry.get("kernel", 0),
-            stride=entry.get("stride", 1),
-            out_features=entry.get("out_features", 0),
-            noise_eligible=entry.get("noise_eligible", True),
-        )
-        layers.append(spec)
-        if kind in PARAMETRIC_KINDS:
-            params[idx] = {
-                "w": _read_blob_array(blob, entry["w_offset"], entry["w_shape"], idx, kind),
-                "b": _read_blob_array(blob, entry["b_offset"], entry["b_shape"], idx, kind),
-            }
-    return Model(
-        layers=layers,
-        params=params,
-        class_count=manifest["class_count"],
-        input_shape=tuple(manifest["input_shape"]),
-    )
+    if manifest.get("blob_bytes") != len(blob):
+        raise error(f"blob has {len(blob)} bytes, manifest declares blob_bytes={manifest.get('blob_bytes')!r}")
+    return manifest, blob
 
 
-def _read_blob_array(blob: bytes, offset: int, shape: list[int], idx: int, kind: str) -> np.ndarray:
-    count = int(np.prod(shape))
+def read_blob_array(blob: bytes, offset, shape, error: type[Exception]) -> np.ndarray:
+    """The float64 array of `shape` at byte `offset`; a bad or out-of-range field raises `error`."""
+    shape_ok = isinstance(shape, (list, tuple)) and all(type(d) is int and d >= 0 for d in shape)
+    if type(offset) is not int or not shape_ok:
+        raise error(f"bad array offset {offset!r} or shape {shape!r}")
+    count = math.prod(shape)
     end = offset + count * 8
     if offset < 0 or end > len(blob):
-        raise ModelFormatError(
-            f"layer {idx} ({kind}): declared shape {shape} needs bytes [{offset}, {end}) "
-            f"but the blob has only {len(blob)}"
-        )
+        raise error(f"array needs bytes [{offset}, {end}) but the blob has only {len(blob)}")
     return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+
+
+def load_model(data: bytes) -> Model:
+    """Model from a container; a corrupt or inconsistent one raises ModelFormatError."""
+    manifest, blob = read_container(data, _MAGIC, ModelFormatError)
+    try:
+        layers = [
+            LayerSpec(
+                entry["kind"],
+                out_channels=entry.get("out_channels", 0),
+                kernel=entry.get("kernel", 0),
+                stride=entry.get("stride", 1),
+                out_features=entry.get("out_features", 0),
+                noise_eligible=entry.get("noise_eligible", True),
+            )
+            for entry in manifest["layers"]
+        ]
+        input_shape, class_count = tuple(manifest["input_shape"]), manifest["class_count"]
+        shapes = _propagate_shapes(layers, input_shape)
+        if type(class_count) is not int or shapes[-1] != (class_count,):
+            raise ModelFormatError(f"class_count {class_count!r} does not match the output shape {shapes[-1]}")
+        params: dict[int, dict[str, np.ndarray]] = {}
+        for idx, spec in enumerate(layers):
+            if spec.kind not in PARAMETRIC_KINDS:
+                continue
+            entry, params[idx] = manifest["layers"][idx], {}
+            for name, shape in zip(("w", "b"), _param_shapes(spec, shapes[idx])):
+                if entry[f"{name}_shape"] != list(shape):
+                    raise ModelFormatError(
+                        f"layer {idx} ({spec.kind}): {name}_shape {entry[f'{name}_shape']} does not match "
+                        f"the architecture's {list(shape)}"
+                    )
+                params[idx][name] = read_blob_array(blob, entry[f"{name}_offset"], shape, ModelFormatError)
+    except (KeyError, TypeError, nn.ShapeError) as exc:
+        raise ModelFormatError(f"bad manifest field: {exc!r}") from exc
+    return Model(
+        layers=layers, params=params, class_count=class_count, input_shape=input_shape, layer_input_shapes=shapes
+    )
 
 
 # ---------------------------------------------------------------------------

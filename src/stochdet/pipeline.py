@@ -34,8 +34,9 @@ from .attacks import (
     run_attack,
     save_adversarial_set,
 )
-from .data import Dataset, load_idx_dataset, synth_dataset
+from .data import DEFAULT_IMAGE_SIZE, Dataset, load_idx_dataset, synth_dataset
 from .detector import (
+    MIN_CALIBRATION_SAMPLES,
     DetectionThresholds,
     DetectorConfig,
     calibrate,
@@ -80,35 +81,74 @@ class DetectorSettings:
     calibration_passes: int = 24
 
     def __post_init__(self) -> None:
-        if self.max_runs < 1 or self.calibration_passes < 1 or not 0.0 < self.target_fpr < 1.0:
+        integers = all(isinstance(v, int) for v in (self.max_runs, self.calibration_passes))
+        if not (integers and self.max_runs >= 1 and self.calibration_passes >= 1 and 0.0 < self.target_fpr < 1.0):
             raise ValueError(
-                "need max_runs >= 1, calibration_passes >= 1 and 0 < target_fpr < 1; got "
-                f"({self.max_runs}, {self.calibration_passes}, {self.target_fpr})"
+                "need integer max_runs >= 1, integer calibration_passes >= 1 and 0 < target_fpr < 1; got "
+                f"({self.max_runs!r}, {self.calibration_passes!r}, {self.target_fpr!r})"
             )
+
+
+def _default_attacks() -> list[AttackConfig]:
+    return [
+        AttackConfig(kind="fgsm", eps=0.15),
+        AttackConfig(kind="cw_l2", target_mode="next", k=0.0),
+        AttackConfig(kind="cw_l2", target_mode="next", k=2.0),
+        AttackConfig(kind="cw_l2", target_mode="next", k=5.0),
+        AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-4),
+        AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-1),
+    ]
 
 
 @dataclass
 class ExperimentConfig:
+    """The experiment; its field defaults are the only statement of its values."""
+
     base_seed: int = 7
     dataset: str = "synth:7"
-    image_size: int = 18
+    image_size: int = DEFAULT_IMAGE_SIZE
     train_count: int = 4000
     test_count: int = 1000
     out_dir: str = "runs/fixture"
     model_path: str = ""  # reuse an existing model instead of training
     arch_channels: list[int] = field(default_factory=lambda: [8, 16])
     kernel: int = 3
-    train: TrainConfig = field(
-        default_factory=lambda: TrainConfig(lr=0.15, epochs=16, seed=11, batch_size=16, weight_decay=1e-4)
-    )
+    train: TrainConfig = field(default_factory=TrainConfig)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     detector: DetectorSettings = field(default_factory=DetectorSettings)
-    attacks: list[AttackConfig] = field(default_factory=list)
+    attacks: list[AttackConfig] = field(default_factory=_default_attacks)
     accelerator: AcceleratorConfig = field(default_factory=AcceleratorConfig)
+    # slices of the test set, in order: calibration, benign evaluation, attack sources
     calib_count: int = 300
     benign_eval_count: int = 300
     attack_count: int = 230
-    simulate_count: int = 20
+    simulate_count: int = 20  # inputs simulated, from the benign-eval slice
+
+    def __post_init__(self) -> None:
+        """Set sizes that would make a later stage fail are rejected at load."""
+        counts = {
+            "train_count": self.train_count,
+            "test_count": self.test_count,
+            "calib_count": self.calib_count,
+            "benign_eval_count": self.benign_eval_count,
+            "simulate_count": self.simulate_count,
+        }
+        if not all(isinstance(v, int) and v >= 1 for v in counts.values()):
+            raise ValueError(f"set sizes must be integers >= 1, got {counts}")
+        if not isinstance(self.attack_count, int) or self.attack_count < 0:
+            raise ValueError(f"attack_count must be an integer >= 0, got {self.attack_count!r}")
+        if self.calib_count + self.benign_eval_count > self.test_count:
+            raise ValueError(
+                f"calib_count + benign_eval_count ({self.calib_count} + {self.benign_eval_count}) "
+                f"exceeds test_count {self.test_count}"
+            )
+        if self.simulate_count > self.benign_eval_count:
+            raise ValueError(f"simulate_count {self.simulate_count} exceeds benign_eval_count {self.benign_eval_count}")
+        if self.calib_count * self.detector.calibration_passes < MIN_CALIBRATION_SAMPLES:
+            raise ValueError(
+                f"calib_count x calibration_passes ({self.calib_count} x {self.detector.calibration_passes}) "
+                f"gives fewer than the {MIN_CALIBRATION_SAMPLES} samples calibration needs"
+            )
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -129,24 +169,6 @@ class ExperimentConfig:
             return cls(**fields)
         except (TypeError, ValueError) as exc:  # AttackError is a ValueError
             raise ConfigError(f"invalid config: {exc}") from exc
-
-
-def default_config(**overrides) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        attacks=[
-            AttackConfig(kind="fgsm", eps=0.15),
-            AttackConfig(kind="cw_l2", target_mode="next", k=0.0),
-            AttackConfig(kind="cw_l2", target_mode="next", k=2.0),
-            AttackConfig(kind="cw_l2", target_mode="next", k=5.0),
-            AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-4),
-            AttackConfig(kind="defense_aware", target_mode="next", k=2.0, beta=1e-1),
-        ]
-    )
-    for key, value in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -583,65 +605,31 @@ def simulate_for_inputs(
 def build_histograms(model, table, noise, cfg, benign_inputs, adv_sets) -> dict:
     """First-pass L1 histograms, fixed 0.05 bins over [0, 2]."""
     seed = derive_seed(cfg.base_seed, "histogram")
-    payload = {"bin_edges": HISTOGRAM_BINS.tolist(), "sets": {}}
-    benign_d = first_pass_distances(model, table, benign_inputs, noise, seed)
-    payload["sets"]["benign"] = {
-        "count": int(benign_d.size),
-        "mean": float(benign_d.mean()),
-        "std": float(benign_d.std()),
-        "counts": l1_histogram(benign_d),
-    }
+    input_sets = {"benign": benign_inputs}
     for name, samples in sorted(adv_sets.items()):
-        inputs = [s.perturbed for s in samples if s.success]
-        if not inputs:
-            continue
-        d = first_pass_distances(model, table, inputs, noise, seed)
-        payload["sets"][name] = {
-            "count": int(d.size),
-            "mean": float(d.mean()),
-            "std": float(d.std()),
-            "counts": l1_histogram(d),
-        }
+        input_sets[name] = [s.perturbed for s in samples if s.success]
+    payload = {"bin_edges": HISTOGRAM_BINS.tolist(), "sets": {}}
+    for name, inputs in input_sets.items():
+        if inputs:
+            d = first_pass_distances(model, table, inputs, noise, seed)
+            payload["sets"][name] = {
+                "count": int(d.size),
+                "mean": float(d.mean()),
+                "std": float(d.std()),
+                "counts": l1_histogram(d),
+            }
     return payload
 
 
 def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: dict, sim_summary: dict) -> None:
-    header = [
-        "attack",
-        "kind",
-        "param",
-        "sources",
-        "successes",
-        "success_rate",
-        "mean_l2_distortion",
-        "mean_confidence",
-        "mean_l1_to_target",
-        "detection_rate",
-        "fpr",
-        "tpr",
-        "mean_runs",
+    record_columns = ["attack", "kind", "param", "sources", "successes", "success_rate"]
+    record_columns += ["mean_l2_distortion", "mean_confidence", "mean_l1_to_target"]
+    metric_columns = ["detection_rate", "fpr", "tpr", "mean_runs"]
+    rows = [
+        [rec[c] for c in record_columns] + [rec["metrics"][c] for c in metric_columns]
+        for rec in sorted(metrics_by_attack.values(), key=lambda r: (r["kind"], r["param"], r["attack"]))
     ]
-    rows = []
-    for name in sorted(metrics_by_attack, key=lambda n: (metrics_by_attack[n]["kind"], metrics_by_attack[n]["param"], n)):
-        rec = metrics_by_attack[name]
-        rows.append(
-            [
-                rec["attack"],
-                rec["kind"],
-                rec["param"],
-                rec["sources"],
-                rec["successes"],
-                rec["success_rate"],
-                rec["mean_l2_distortion"],
-                rec["mean_confidence"],
-                rec["mean_l1_to_target"],
-                rec["metrics"]["detection_rate"],
-                rec["metrics"]["fpr"],
-                rec["metrics"]["tpr"],
-                rec["metrics"]["mean_runs"],
-            ]
-        )
-    write_csv_artifact(out_dir / "metrics.csv", header, rows, cfg)
+    write_csv_artifact(out_dir / "metrics.csv", record_columns + metric_columns, rows, cfg)
 
     # k sweep over margin attacks (detection vs. attack strength)
     k_rows = [
@@ -671,22 +659,6 @@ def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: d
     )
 
     # cycle report per layer
-    c_rows = [
-        [
-            layer["layer"],
-            layer["kind"],
-            layer["eligible"],
-            layer["dense_cycles"],
-            layer["sparse_cycles"],
-            layer["idle_mac_slots"],
-            layer["stall_cycles"],
-            layer["speedup"],
-        ]
-        for layer in sim_summary["first_report"]["per_layer"]
-    ]
-    write_csv_artifact(
-        out_dir / "cycles.csv",
-        ["layer", "kind", "eligible", "dense_cycles", "sparse_cycles", "idle_mac_slots", "stall_cycles", "speedup"],
-        c_rows,
-        cfg,
-    )
+    columns = ["layer", "kind", "eligible", "dense_cycles", "sparse_cycles", "idle_mac_slots", "stall_cycles", "speedup"]
+    c_rows = [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
+    write_csv_artifact(out_dir / "cycles.csv", columns, c_rows, cfg)

@@ -81,9 +81,6 @@ class SparsificationPlan:
     def nnz(self, layer_idx: int) -> np.ndarray:
         return self.masks[layer_idx].sum(axis=1)
 
-    def layer_masks_flat(self) -> dict[int, np.ndarray]:
-        return {idx: m.ravel() for idx, m in self.masks.items()}
-
     def achieved_sparsity(self) -> float:
         """Dropped fraction over all weights covered by the plan."""
         total = sum(m.size for m in self.masks.values())

@@ -27,7 +27,7 @@ from stochdet.model import (
     input_gradient,
     loss_value,
 )
-from stochdet.pipeline import default_config, run_pipeline
+from stochdet.pipeline import ExperimentConfig, run_pipeline
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import draw_plan, noisy_activation_forward, noisy_forward
 from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, successful_inputs
@@ -406,7 +406,7 @@ def _strip_comments(blob: bytes) -> bytes:
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with Criterion(9, "pipeline reruns bitwise identical; seed change bounded", 1800):
         out_a = tmp_path / "run_a"
-        cfg = default_config(out_dir=str(out_a))
+        cfg = ExperimentConfig(out_dir=str(out_a))
         run_pipeline(cfg, log=lambda *_: None)
         csv_names = ("metrics.csv", "k_sweep.csv", "beta_sweep.csv", "cycles.csv")
         snapshot = {n: (out_a / n).read_bytes() for n in csv_names}
@@ -420,7 +420,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
         # change only base_seed: verdict logs differ, aggregates stay close
         out_b = tmp_path / "run_b"
-        cfg_b = default_config(out_dir=str(out_b), base_seed=8)
+        cfg_b = ExperimentConfig(out_dir=str(out_b), base_seed=8)
         run_pipeline(cfg_b, log=lambda *_: None)
         verdicts_b = (out_b / "verdicts_benign.jsonl").read_text().splitlines()[1:]
         assert verdicts_a != verdicts_b, "per-sample verdict logs identical across seeds"

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from stochdet.cli import main
+from stochdet.cli import _load_config, build_parser, main
+from stochdet.model import TrainConfig
 from stochdet.pipeline import (
     ExperimentConfig,
     HISTOGRAM_BINS,
     config_hash,
-    default_config,
     run_pipeline,
     verify_artifact,
 )
@@ -212,6 +212,13 @@ def test_partial_sections_keep_experiment_defaults():
         {"noise": {"mode": "activation"}},
         {"train": {"batch_size": 0}},
         {"train": {"epochs": "3"}},
+        {"benign_eval_count": 0},
+        {"calib_count": 3},
+        {"simulate_count": 0},
+        {"simulate_count": 61},
+        {"calib_count": 250},
+        {"train_count": 4.5},
+        {"detector": {"calibration_passes": 2.5}},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
@@ -219,6 +226,25 @@ def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.bin").exists()
+
+
+def test_readme_config_block_states_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert ExperimentConfig.from_json(json.loads(block)) == ExperimentConfig(out_dir="runs/demo")
+    assert TrainConfig() == ExperimentConfig().train
+
+
+def test_run_without_a_config_file_uses_the_defaults(tmp_path, monkeypatch):
+    monkeypatch.delenv("STOCHDET_OUT_DIR", raising=False)
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "no_attacks.json").write_text(json.dumps({"base_seed": 7, "train": {"epochs": 16}}))
+    configs = [
+        _load_config(build_parser().parse_args(["run", *extra]))
+        for extra in ([], ["--config", str(tmp_path / "empty.json")], ["--config", str(tmp_path / "no_attacks.json")])
+    ]
+    assert configs[0] == configs[1] == configs[2] == ExperimentConfig()
+    assert len(configs[0].attacks) == 6
 
 
 def test_train_command_refuses_a_config_model(tmp_path, capsys):
@@ -299,7 +325,7 @@ def test_noise_flag_overrides(tmp_path):
 
 
 def test_default_config_hash_stable():
-    a, b = default_config(), default_config()
+    a, b = ExperimentConfig(), ExperimentConfig()
     assert config_hash(a) == config_hash(b)
     b.base_seed = 8
     assert config_hash(a) != config_hash(b)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochdet.data import (
     Dataset,
@@ -10,8 +12,8 @@ from stochdet.data import (
     parse_idx,
     serialize_idx,
     synth_dataset,
-    synth_split,
 )
+from stochdet.pipeline import load_dataset_spec
 
 
 def test_same_seed_bitwise_identical():
@@ -44,7 +46,8 @@ def test_rejects_bad_arguments():
 
 
 def test_split_by_seed_partition_is_disjoint():
-    train, test = synth_split(7, 200, 100)
+    train = load_dataset_spec("synth:7", 200, 18, "train")
+    test = load_dataset_spec("synth:7", 100, 18, "test")
     train_keys = {img.tobytes() for img in train.images}
     assert not any(img.tobytes() in train_keys for img in test.images)
 
@@ -114,3 +117,39 @@ def test_load_idx_dataset():
     assert ds.images[0].shape == (1, 4, 4)
     with pytest.raises(IdxFormatError, match="images but"):
         load_idx_dataset(images, serialize_idx(np.array([0, 1])))
+
+
+def test_rank_zero_stream_rejected():
+    with pytest.raises(IdxFormatError, match="rank 0"):
+        parse_idx(bytes([0, 0, 8, 0]))
+
+
+def test_extents_whose_product_wraps_int64_rejected():
+    # 2**24 cubed is 2**72, which a 64-bit product would wrap to 0 = the empty payload
+    header = bytes([0, 0, 8, 3]) + (2**24).to_bytes(4, "big") * 3
+    with pytest.raises(IdxFormatError, match="truncated payload"):
+        parse_idx(header)
+
+
+def _idx_header(ndim: int, extents: list[int]) -> bytes:
+    return bytes([0, 0, 8, ndim]) + b"".join(e.to_bytes(4, "big") for e in extents)
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda ndim, extents, payload: _idx_header(ndim, extents) + payload,
+            st.integers(0, 4),
+            st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 4), max_size=4),
+            st.binary(max_size=64),
+        ),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_idx_fuzz_yields_typed_error_or_array(data):
+    try:
+        arr = parse_idx(data)
+    except IdxFormatError:
+        return
+    assert isinstance(arr, np.ndarray) and arr.ndim == data[3]

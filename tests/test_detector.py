@@ -11,6 +11,7 @@ from stochdet.detector import (
     calibrate,
     decide,
     detect_set,
+    first_pass_distance,
     first_pass_distances,
     l1_distance,
     stochastic_inference,
@@ -224,6 +225,17 @@ def test_calibrate_quantiles_on_known_sequence():
 def test_calibrate_needs_enough_samples():
     with pytest.raises(ValueError, match="at least 100"):
         calibrate(np.ones(99), 0.05)
+
+
+def test_first_pass_distance_is_the_detectors_first_pass(
+    fixture_model, fixture_table, fixture_noise, calibrated_thresholds, benign_eval_inputs
+):
+    """Calibration samples exactly the d_1 that detection observes."""
+    for i, x in enumerate(benign_eval_inputs[:5]):
+        seed = derive_seed(5, "first-pass", i)
+        cfg = DetectorConfig(calibrated_thresholds, max_runs=3, noise=fixture_noise, base_seed=seed)
+        verdict = stochastic_inference(fixture_model, fixture_table, x, cfg)
+        assert first_pass_distance(fixture_model, fixture_table, x, fixture_noise, seed) == verdict.l1_history[0]
 
 
 def test_calibrated_fpr_on_holdout(

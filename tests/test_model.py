@@ -178,6 +178,66 @@ def test_bad_magic_rejected():
         load_model(b"NOTAMODEL" + bytes(64))
 
 
+def _tiny_container() -> bytes:
+    arch = [LayerSpec("conv2d", out_channels=2, kernel=3), LayerSpec("relu"), LayerSpec("maxpool2d")]
+    arch += [LayerSpec("dense", out_features=3), LayerSpec("softmax")]
+    return save_model(init_model(arch, (1, 6, 6), 3, seed=4))
+
+
+def _model_with_manifest(manifest: bytes, blob: bytes = b"") -> bytes:
+    return _MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob
+
+
+def _tiny_without(layer: int, key: str) -> bytes:
+    data = _tiny_container()
+    (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
+    start = len(_MAGIC) + 8
+    manifest = json.loads(data[start : start + manifest_len])
+    del manifest["layers"][layer][key]
+    return _model_with_manifest(json.dumps(manifest).encode(), data[start + manifest_len :])
+
+
+@pytest.mark.parametrize(
+    "data, match",
+    [
+        (_model_with_manifest(b"{}"), "blob_bytes"),
+        (_model_with_manifest(b"[1]"), "mistypes"),
+        (_model_with_manifest(b'{"blob_bytes": 0}'), "layers"),
+        (_tiny_without(3, "w_offset"), "w_offset"),
+        (_tiny_without(0, "kernel"), "conv2d layer sizes"),
+    ],
+    ids=["empty-object", "root-list", "no-layers", "dense-without-w_offset", "conv-without-kernel"],
+)
+def test_load_model_typed_errors(data, match):
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(data)
+
+
+def _overwrite_model(at: int, patch: bytes) -> bytes:
+    data = _tiny_container()
+    return data[:at] + patch + data[at + len(patch) :]
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(_model_with_manifest),
+        st.builds(_overwrite_model, st.integers(0, 700), st.binary(min_size=1, max_size=4)),
+        st.builds(_overwrite_model, st.integers(0, 700), st.sampled_from([b"0", b"9", b"-", b"[", b'"', b"1.5"])),
+        st.integers(0, 1200).map(lambda n: _tiny_container()[:n]),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_load_model_fuzz_yields_typed_error_or_model(data):
+    try:
+        model = load_model(data)
+    except ModelFormatError:
+        return
+    # whatever loads is self-consistent: it saves and reloads to the same model
+    assert model.layer_input_shapes[-1] == (model.class_count,)
+    assert load_model(save_model(model)).fingerprint() == model.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # threshold profiling
 
