@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--name", help="verdict log name suffix")
 
     common(
-        sub.add_parser("eval", help="detection metrics over the saved adversarial sets"),
+        sub.add_parser("eval", help="detection metrics and L1 histograms over the saved adversarial sets"),
         model=True,
         table=True,
         thresholds=True,
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--group-size", type=int, dest="group_size")
     p_sim.add_argument("--window", type=int)
 
-    common(sub.add_parser("report", help="emit metric CSVs and histograms"), model=True, table=True)
+    common(sub.add_parser("report", help="emit metric CSVs from the metrics and cycles artifacts"))
 
     p_verify = sub.add_parser("verify", help="re-derive artifact hashes")
     p_verify.add_argument("path", help="artifact file or run directory")

@@ -120,6 +120,8 @@ def parse_idx(data: bytes) -> np.ndarray:
     if len(data) < header_len:
         raise IdxFormatError(f"truncated header: {len(data)} bytes cannot hold {ndim} extents")
     extents = struct.unpack(f">{ndim}I", data[4:header_len])
+    if 0 in extents:  # numpy rejects even an empty array whose other extents overflow its byte size
+        raise IdxFormatError(f"zero extent in {extents}: an IDX stream must hold at least one value")
     payload_len = math.prod(extents)  # exact: a numpy product can wrap to a small length
     payload = data[header_len:]
     if len(payload) != payload_len:
@@ -153,8 +155,6 @@ def load_idx_dataset(images_bytes: bytes, labels_bytes: bytes) -> Dataset:
         raise IdxFormatError(f"label file must be 1-d, got {labels.ndim} dims")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(f"{images.shape[0]} images but {labels.shape[0]} labels")
-    if not labels.size:
-        raise IdxFormatError("the IDX files hold no samples")
     return Dataset(
         images=[images[i][None, :, :] for i in range(images.shape[0])],
         labels=[int(v) for v in labels],

@@ -25,7 +25,7 @@ import numpy as np
 from .model import Model, ThresholdTable
 from .nn import ProbVector
 from .rng import derive_seed
-from .sparsify import NoiseConfig, confidence, draw_plan, noise_budget, noisy_forward
+from .sparsify import NoiseConfig, SparsificationPlan, confidence, draw_plan, noise_budget, noisy_forward
 
 # benign first-pass distances calibrate needs for stable upper quantiles
 MIN_CALIBRATION_SAMPLES = 100
@@ -122,10 +122,15 @@ def decide(
     return label, max_runs, history, "cap"
 
 
-def _noisy_passes(
+def input_seed(base_seed: int, tag: str, index: int) -> int:
+    """The base seed of input `index` of the set tagged `tag` (see detect_set)."""
+    return derive_seed(base_seed, tag, index)
+
+
+def noisy_passes(
     model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
-) -> tuple[ProbVector, Callable[[int], float]]:
-    """The reference output of x and the L1 distance of its noisy pass i.
+) -> tuple[ProbVector, Callable[[int], SparsificationPlan], Callable[[int], float]]:
+    """The reference output of x, the plan of its noisy pass i and that pass's L1 distance.
 
     The reference output and the noise budget are computed once and reused
     for every pass. Pass seeds derive from (base_seed, pass index), so
@@ -134,18 +139,17 @@ def _noisy_passes(
     ref = model.predict(x)
     budget = noise_budget(confidence(ref), noise)
 
-    def pass_distance(i: int) -> float:
-        plan = draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
-        return l1_distance(noisy_forward(model, plan, x), ref)
+    def plan(i: int) -> SparsificationPlan:
+        return draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
 
-    return ref, pass_distance
+    return ref, plan, lambda i: l1_distance(noisy_forward(model, plan(i), x), ref)
 
 
 def stochastic_inference(
     model: Model, table: ThresholdTable, x: np.ndarray, cfg: DetectorConfig
 ) -> DetectionVerdict:
     """Full detection for one input."""
-    ref, pass_distance = _noisy_passes(model, table, x, cfg.noise, cfg.base_seed)
+    ref, _, pass_distance = noisy_passes(model, table, x, cfg.noise, cfg.base_seed)
     label, runs, history, reason = decide(pass_distance, cfg.thresholds, cfg.max_runs)
     return DetectionVerdict(
         label=label,
@@ -161,12 +165,12 @@ def detect_set(
 ) -> list[DetectionVerdict]:
     """stochastic_inference over a set, one derived base seed per input.
 
-    Each input runs under derive_seed(cfg.base_seed, tag, i), so one
+    Each input runs under input_seed(cfg.base_seed, tag, i), so one
     unlucky plan cannot correlate errors across the whole set and a set
     re-run under the same tag reproduces every verdict.
     """
     return [
-        stochastic_inference(model, table, x, replace(cfg, base_seed=derive_seed(cfg.base_seed, tag, i)))
+        stochastic_inference(model, table, x, replace(cfg, base_seed=input_seed(cfg.base_seed, tag, i)))
         for i, x in enumerate(inputs)
     ]
 
@@ -179,7 +183,7 @@ def first_pass_distance(
     model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
 ) -> float:
     """The d_1 a detector with this base_seed would observe for x."""
-    return _noisy_passes(model, table, x, noise, base_seed)[1](1)
+    return noisy_passes(model, table, x, noise, base_seed)[2](1)
 
 
 def first_pass_distances(
@@ -191,7 +195,7 @@ def first_pass_distances(
 ) -> np.ndarray:
     return np.array(
         [
-            first_pass_distance(model, table, x, noise, derive_seed(base_seed, "input", i))
+            first_pass_distance(model, table, x, noise, input_seed(base_seed, "input", i))
             for i, x in enumerate(inputs)
         ]
     )

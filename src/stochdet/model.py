@@ -251,6 +251,9 @@ def _propagate_shapes(layers: list[LayerSpec], input_shape: tuple) -> list[tuple
     """The input shape of every layer; the one place layer shapes are derived."""
     if not layers or layers[-1].kind != "softmax":
         raise ModelFormatError("architecture must end in softmax")
+    if any(spec.kind == "softmax" for spec in layers[:-1]):
+        # backward seeds gradients at the logits and so treats softmax as the identity
+        raise ModelFormatError("softmax may only be the last layer")
     shape = tuple(input_shape)
     if len(shape) != 3 or not all(type(v) is int and v >= 1 for v in shape):
         raise nn.ShapeError(f"input shape must be three positive integers, got {shape}")

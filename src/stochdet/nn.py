@@ -69,7 +69,6 @@ def conv2d_forward(
     y = w_eff.reshape(c_out, -1) @ cols + b[:, None]
     if cache is not None:
         cache["cols"] = cols
-        cache["x_shape"] = x.shape
     return y.reshape(c_out, h_out, w_out)
 
 
@@ -86,11 +85,11 @@ def conv2d_backward(
     dy: np.ndarray,
     x: np.ndarray,
     w: np.ndarray,
-    stride: int = 1,
-    mask: np.ndarray | None = None,
-    cache: dict | None = None,
+    stride: int,
+    mask: np.ndarray | None,
+    cache: dict,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of a conv2d_forward call.
+    """Gradients (dx, dw, db) of the conv2d_forward call that filled cache.
 
     dx is computed against the effective (masked) weights; dw is the raw
     gradient and is only meaningful for mask-free (training) passes.
@@ -98,10 +97,7 @@ def conv2d_backward(
     dy = _as_f64(dy)
     c_out, c_in, kh, kw = w.shape
     h_out, w_out = dy.shape[1], dy.shape[2]
-    if cache is not None and "cols" in cache:
-        cols = cache["cols"]
-    else:
-        cols = _im2col(_as_f64(x), kh, kw, stride, h_out, w_out)
+    cols = cache["cols"]
     dy_flat = dy.reshape(c_out, -1)
     dw = (dy_flat @ cols.T).reshape(w.shape)
     db = dy_flat.sum(axis=1)
@@ -147,18 +143,13 @@ def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     idx = windows.argmax(axis=-1)
     if cache is not None:
         cache["idx"] = idx
-        cache["x_shape"] = x.shape
     return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
 
 
-def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    x = _as_f64(x)
+def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict) -> np.ndarray:
+    """Gradient of the maxpool2d_forward call that filled cache."""
     c, h, w = x.shape
-    if cache is not None and "idx" in cache:
-        idx = cache["idx"]
-    else:
-        windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-        idx = windows.argmax(axis=-1)
+    idx = cache["idx"]
     dwin = np.zeros((c, h // 2, w // 2, 4), dtype=np.float64)
     np.put_along_axis(dwin, idx[..., None], _as_f64(dy)[..., None], axis=-1)
     return dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)

@@ -38,11 +38,13 @@ from .data import DEFAULT_IMAGE_SIZE, Dataset, load_idx_dataset, synth_dataset
 from .detector import (
     MIN_CALIBRATION_SAMPLES,
     DetectionThresholds,
+    DetectionVerdict,
     DetectorConfig,
     calibrate,
     calibration_distances,
     detect_set,
-    first_pass_distances,
+    input_seed,
+    noisy_passes,
 )
 from .model import (
     Model,
@@ -55,7 +57,7 @@ from .model import (
     train,
 )
 from .rng import derive_seed
-from .sparsify import NoiseConfig, confidence, draw_plan, noise_budget
+from .sparsify import NoiseConfig
 
 HISTOGRAM_BINS = np.round(np.arange(0.0, 2.0 + 1e-9, 0.05), 10)
 
@@ -248,8 +250,14 @@ def verify_artifact(path: Path) -> tuple[bool, str]:
 # stages
 
 
-def load_dataset_spec(spec: str, count: int, image_size: int, sub: str) -> Dataset:
-    """'synth:<seed>' or 'idx:<images_path>:<labels_path>'."""
+def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: int = 0) -> Dataset:
+    """`count` images of the `sub` split of 'synth:<seed>' or 'idx:<images_path>:<labels_path>'.
+
+    A synthetic split is its own stream. IDX files hold one sequence of
+    images, which the splits cut in order: the split takes the `count`
+    images from index `start`, so a test split starting at the train
+    count shares no image with the train split.
+    """
     parts = spec.split(":")
     if parts[0] == "synth":
         if len(parts) != 2:
@@ -266,7 +274,13 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str) -> Datas
         for p, what in ((images_path, "images"), (labels_path, "labels")):
             if not p.exists():
                 raise ConfigError(f"dataset {what} path does not exist: {p}")
-        return load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
+        full = load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
+        end = start + count
+        if len(full) < end:
+            raise ConfigError(f"the {sub} split needs images [{start}, {end}) but {images_path} holds {len(full)}")
+        if full.images[0].shape != (1, image_size, image_size):
+            raise ConfigError(f"{images_path} holds {full.images[0].shape[1:]} images but image_size is {image_size}")
+        return Dataset(full.images[start:end], full.labels[start:end], full.class_count)
     raise ConfigError(f"unknown dataset kind {parts[0]!r} in {spec!r}")
 
 
@@ -281,11 +295,6 @@ def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list
     return sources
 
 
-def l1_histogram(distances: np.ndarray) -> list[int]:
-    counts, _ = np.histogram(np.asarray(distances), bins=HISTOGRAM_BINS)
-    return counts.astype(int).tolist()
-
-
 class RunState:
     """The config, the output directory and the artifacts of one run so far.
 
@@ -293,7 +302,7 @@ class RunState:
     memory. An artifact that no earlier stage produced is resolved on first
     use: the model, table and thresholds from their paths, the configured
     attack sets, metrics and cycles from the output directory, and the
-    datasets by generating them.
+    datasets by loading them.
     """
 
     def __init__(self, cfg: ExperimentConfig, table_path: str = "", thresholds_path: str = ""):
@@ -337,7 +346,8 @@ class RunState:
         return load_dataset_spec(self.cfg.dataset, self.cfg.train_count, self.cfg.image_size, "train")
 
     def _load_test_set(self) -> Dataset:
-        return load_dataset_spec(self.cfg.dataset, self.cfg.test_count, self.cfg.image_size, "test")
+        cfg = self.cfg
+        return load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test", start=cfg.train_count)
 
     def _load_benign_eval(self) -> list[np.ndarray]:
         start = self.cfg.calib_count
@@ -468,13 +478,9 @@ def stage_simulate(state: RunState) -> str:
 
 
 def stage_report(state: RunState) -> str:
-    """Metric CSVs, sweep tables and L1 histograms."""
-    cfg = state.cfg
-    metrics, cycles = state["metrics"], state["cycles"]
-    hist = build_histograms(state["model"], state["table"], cfg.noise, cfg, state["benign_eval"], state["adv_sets"])
-    write_json_artifact(state.out / "l1_histograms.json", hist, cfg)
-    write_report_csvs(state.out, cfg, metrics, cycles)
-    return f"report CSVs and histograms -> {state.out}"
+    """Metric CSVs and sweep tables from the metrics and cycles artifacts."""
+    write_report_csvs(state.out, state.cfg, state["metrics"], state["cycles"])
+    return f"report CSVs -> {state.out}"
 
 
 STAGES = (
@@ -519,12 +525,12 @@ def evaluate_attack_sets(
     adv_sets maps attack name to samples; only the successful samples of
     each set face the detector, matching how the reference results score
     attacks. The benign side is shared, so it runs once. Verdict logs are
-    written per set.
+    written per set, and l1_histograms.json from their first passes.
     """
     benign_verdicts = detect_set(model, table, det_cfg, benign_eval, "benign")
     benign_fpr = sum(1 for v in benign_verdicts if v.label == "adversarial") / len(benign_verdicts)
     benign_runs = [v.runs_used for v in benign_verdicts]
-    write_verdict_log(out_dir / "verdicts_benign.jsonl", benign_verdicts, cfg)
+    verdict_sets = {"benign": benign_verdicts}
     metrics_by_attack: dict[str, dict] = {}
     for spec in cfg.attacks:
         samples = adv_sets[spec.name]
@@ -564,7 +570,10 @@ def evaluate_attack_sets(
                 float(np.mean([v.runs_used for v in adv_verdicts])) if adv_verdicts else None
             ),
         }
-        write_verdict_log(out_dir / f"verdicts_{spec.name}.jsonl", adv_verdicts, cfg)
+        verdict_sets[spec.name] = adv_verdicts
+    for name, verdicts in verdict_sets.items():
+        write_verdict_log(out_dir / f"verdicts_{name}.jsonl", verdicts, cfg)
+    write_json_artifact(out_dir / "l1_histograms.json", build_histograms(verdict_sets), cfg)
     return metrics_by_attack, benign_fpr
 
 
@@ -584,14 +593,13 @@ def simulate_for_inputs(
     acfg: AcceleratorConfig,
     base_seed: int,
 ) -> dict:
-    """Cycle reports for the plans real detector passes would draw."""
+    """Cycle reports for the plans eval's detector drew for its first pass over benign input i."""
     if not inputs:
         raise ValueError("simulate needs at least one input")
     reports: list[CycleReport] = []
     for i, x in enumerate(inputs):
-        budget = noise_budget(confidence(model.predict(x)), noise)
-        plan = draw_plan(model, table, budget, derive_seed(base_seed, "simulate", i))
-        reports.append(simulate_model(model, plan, acfg))
+        plan = noisy_passes(model, table, x, noise, input_seed(base_seed, "benign", i))[1]
+        reports.append(simulate_model(model, plan(1), acfg))
     mean_speedup = float(np.mean([r.speedup for r in reports]))
     mean_eligible = float(np.mean([r.eligible_speedup() for r in reports]))
     return {
@@ -602,21 +610,18 @@ def simulate_for_inputs(
     }
 
 
-def build_histograms(model, table, noise, cfg, benign_inputs, adv_sets) -> dict:
-    """First-pass L1 histograms, fixed 0.05 bins over [0, 2]."""
-    seed = derive_seed(cfg.base_seed, "histogram")
-    input_sets = {"benign": benign_inputs}
-    for name, samples in sorted(adv_sets.items()):
-        input_sets[name] = [s.perturbed for s in samples if s.success]
+def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:
+    """Histograms of each non-empty verdict set's first-pass L1, fixed 0.05 bins over [0, 2]."""
     payload = {"bin_edges": HISTOGRAM_BINS.tolist(), "sets": {}}
-    for name, inputs in input_sets.items():
-        if inputs:
-            d = first_pass_distances(model, table, inputs, noise, seed)
+    for name, verdicts in verdict_sets.items():
+        if verdicts:
+            d = np.array([v.l1_history[0] for v in verdicts])
+            counts, _ = np.histogram(d, bins=HISTOGRAM_BINS)
             payload["sets"][name] = {
                 "count": int(d.size),
                 "mean": float(d.mean()),
                 "std": float(d.std()),
-                "counts": l1_histogram(d),
+                "counts": counts.astype(int).tolist(),
             }
     return payload
 

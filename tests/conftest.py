@@ -28,7 +28,7 @@ ATTACK_START = 600
 
 CW_STEPS = 300
 CW_STEP_SIZE = 0.02
-DETECTOR_MAX_RUNS = 3  # fixture experiment value; the type default stays 5
+DETECTOR_MAX_RUNS = 3  # the experiment's value, as in pipeline.DetectorSettings
 
 
 @pytest.fixture(scope="session")

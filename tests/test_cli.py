@@ -1,19 +1,29 @@
 """CLI subcommands, exit codes, artifact provenance, and determinism."""
 
 import json
+import shutil
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from stochdet import pipeline
 from stochdet.cli import _load_config, build_parser, main
+from stochdet.data import load_idx_dataset, serialize_idx
+from stochdet.detector import l1_distance
 from stochdet.model import TrainConfig
 from stochdet.pipeline import (
+    DetectorSettings,
     ExperimentConfig,
     HISTOGRAM_BINS,
+    RunState,
     config_hash,
     run_pipeline,
+    stage_simulate,
     verify_artifact,
 )
+from stochdet.sparsify import noisy_forward
 
 
 def tiny_config(out_dir: Path, **overrides) -> dict:
@@ -130,6 +140,61 @@ def test_histogram_bins_sum_to_sample_count(pipeline_run):
     assert len(payload["bin_edges"]) == len(HISTOGRAM_BINS)
     for name, entry in payload["sets"].items():
         assert sum(entry["counts"]) == entry["count"], name
+
+
+def first_passes(run_dir: Path, name: str) -> np.ndarray:
+    lines = (run_dir / f"verdicts_{name}.jsonl").read_text().splitlines()[1:]
+    return np.array([json.loads(line)["l1_history"][0] for line in lines])
+
+
+def test_histograms_are_the_verdicts_first_passes(pipeline_run):
+    cfg, _ = pipeline_run
+    out = Path(cfg.out_dir)
+    sets = json.loads((out / "l1_histograms.json").read_text())["payload"]["sets"]
+    logged = {p.stem.removeprefix("verdicts_") for p in out.glob("verdicts_*.jsonl")}
+    assert set(sets) == {name for name in logged if first_passes(out, name).size}
+    for name, entry in sets.items():
+        d = first_passes(out, name)
+        assert entry == {
+            "count": d.size,
+            "mean": float(d.mean()),
+            "std": float(d.std()),
+            "counts": np.histogram(d, bins=HISTOGRAM_BINS)[0].tolist(),
+        }, name
+
+
+def test_simulated_plans_are_the_detectors_first_passes(pipeline_run, tmp_path, monkeypatch):
+    cfg, result = pipeline_run
+    plans, simulate = [], pipeline.simulate_model
+
+    def recording(model, plan, acfg):
+        plans.append(plan)
+        return simulate(model, plan, acfg)
+
+    monkeypatch.setattr(pipeline, "simulate_model", recording)
+    state = RunState(replace(cfg, out_dir=str(tmp_path)))
+    for name in ("model", "table", "benign_eval"):
+        state[name] = result[name]
+    stage_simulate(state)
+    assert len(plans) == cfg.simulate_count
+    logged = first_passes(Path(cfg.out_dir), "benign")
+    for i, (x, plan) in enumerate(zip(result["benign_eval"], plans)):
+        d = l1_distance(noisy_forward(result["model"], plan, x), result["model"].predict(x))
+        assert d == logged[i], i
+
+
+def test_report_reads_only_metrics_and_cycles(pipeline_run, tmp_path, capsys):
+    run_dir, out = Path(pipeline_run[0].out_dir), tmp_path / "copy"
+    shutil.copytree(run_dir, out)
+    for path in [*out.glob("*.csv"), *out.glob("*.bin")]:
+        path.unlink()
+    cfg_path = write_config(tmp_path)
+    assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert artifact_payloads(out) == artifact_payloads(run_dir)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--config", str(cfg_path), "--out", str(out), "--model", str(run_dir / "model.bin")])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_metrics_csv_schema_and_order(pipeline_run):
@@ -299,7 +364,7 @@ def test_cli_stage_chain(tmp_path, capsys, pipeline_run):
     ) == 0
     assert (out / "metrics.json").exists()
     assert main(["simulate", "--config", str(cfg_path), "--model", str(model), "--table", str(table)]) == 0
-    assert main(["report", "--config", str(cfg_path), "--model", str(model), "--table", str(table)]) == 0
+    assert main(["report", "--config", str(cfg_path)]) == 0
     assert (out / "metrics.csv").exists()
     assert (out / "l1_histograms.json").exists()
     capsys.readouterr()
@@ -308,6 +373,39 @@ def test_cli_stage_chain(tmp_path, capsys, pipeline_run):
     assert sorted(chain) == sorted(run)
     for name in run:
         assert chain[name] == run[name], name
+
+
+def write_idx_pair(directory, count: int, size: int) -> str:
+    """An IDX dataset of `count` distinct size x size images; returns its spec."""
+    images = np.stack([np.full((size, size), i / 100) for i in range(count)])
+    (directory / "images.idx").write_bytes(serialize_idx(images))
+    (directory / "labels.idx").write_bytes(serialize_idx(np.arange(count) % 4))
+    return f"idx:{directory / 'images.idx'}:{directory / 'labels.idx'}"
+
+
+def test_idx_splits_are_disjoint_slices_in_order(tmp_path):
+    spec = write_idx_pair(tmp_path, 50, 18)
+    cfg = ExperimentConfig(
+        dataset=spec, train_count=10, test_count=5, calib_count=2, benign_eval_count=2, simulate_count=1,
+        detector=DetectorSettings(calibration_passes=50), out_dir=str(tmp_path / "run"),
+    )
+    state = RunState(cfg)
+    train, test = state["train_set"], state["test_set"]
+    full = load_idx_dataset((tmp_path / "images.idx").read_bytes(), (tmp_path / "labels.idx").read_bytes())
+    assert (len(train), len(test)) == (10, 5)
+    assert all(np.array_equal(a, b) for a, b in zip(train.images + test.images, full.images[:15]))
+    assert train.labels + test.labels == full.labels[:15]
+    assert not {img.tobytes() for img in train.images} & {img.tobytes() for img in test.images}
+
+
+@pytest.mark.parametrize("override", [{"train_count": 46}, {"image_size": 20}], ids=["too-few-images", "image-size"])
+def test_idx_dataset_that_cannot_fill_the_splits_fails_before_training(tmp_path, capsys, override):
+    spec = write_idx_pair(tmp_path, 50, 18)
+    sizes = {"train_count": 10, "test_count": 5, "calib_count": 2, "benign_eval_count": 2, "simulate_count": 1}
+    cfg_path = write_config(tmp_path, dataset=spec, detector={"calibration_passes": 50}, **{**sizes, **override})
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 """Synthetic corpus and IDX format tests."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochdet.data import (
@@ -146,6 +148,7 @@ def _idx_header(ndim: int, extents: list[int]) -> bytes:
         ),
     )
 )
+@example(bytes([0, 0, 8, 4]) + struct.pack(">4I", 0, 2**20, 2**20, 2**20))  # empty, yet too big for float64
 @settings(max_examples=300, deadline=None)
 def test_parse_idx_fuzz_yields_typed_error_or_array(data):
     try:

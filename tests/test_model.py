@@ -188,13 +188,23 @@ def _model_with_manifest(manifest: bytes, blob: bytes = b"") -> bytes:
     return _MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob
 
 
-def _tiny_without(layer: int, key: str) -> bytes:
-    data = _tiny_container()
+def _edit_manifest(data: bytes, edit) -> bytes:
     (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
     start = len(_MAGIC) + 8
     manifest = json.loads(data[start : start + manifest_len])
-    del manifest["layers"][layer][key]
+    edit(manifest)
     return _model_with_manifest(json.dumps(manifest).encode(), data[start + manifest_len :])
+
+
+def _tiny_without(layer: int, key: str) -> bytes:
+    return _edit_manifest(_tiny_container(), lambda m: m["layers"][layer].pop(key))
+
+
+def _dense_softmax_dense_softmax() -> bytes:
+    """A well-formed container, but for a softmax between its two dense layers."""
+    arch = [LayerSpec("dense", out_features=3), LayerSpec("dense", out_features=3), LayerSpec("softmax")]
+    data = save_model(init_model(arch, (1, 2, 2), 3, seed=4))
+    return _edit_manifest(data, lambda m: m["layers"].insert(1, {"kind": "softmax", "noise_eligible": True}))
 
 
 @pytest.mark.parametrize(
@@ -205,8 +215,9 @@ def _tiny_without(layer: int, key: str) -> bytes:
         (_model_with_manifest(b'{"blob_bytes": 0}'), "layers"),
         (_tiny_without(3, "w_offset"), "w_offset"),
         (_tiny_without(0, "kernel"), "conv2d layer sizes"),
+        (_dense_softmax_dense_softmax(), "softmax may only be the last layer"),
     ],
-    ids=["empty-object", "root-list", "no-layers", "dense-without-w_offset", "conv-without-kernel"],
+    ids=["empty-object", "root-list", "no-layers", "dense-without-w_offset", "conv-without-kernel", "inner-softmax"],
 )
 def test_load_model_typed_errors(data, match):
     with pytest.raises(ModelFormatError, match=match):
