@@ -18,13 +18,11 @@ under a fixed seed.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, input_gradient, read_blob_array, read_container
+from .model import Model, input_gradient, loss_gradients, read_blob_array, read_container, write_container
 from .nn import CompositeLoss, CrossEntropyLoss, ProbVector
 
 _ATANH_CLIP = 1.0 - 1e-6  # keeps atanh finite for pixels at exactly 0 or 1
@@ -165,12 +163,8 @@ def _targeted_descent(
 
     for _ in range(cfg.steps):
         x_adv = _from_tanh_space(w)
-        trace = model.forward_trace(x_adv)
+        trace, _, dx, _ = loss_gradients(model, x_adv, loss)
         consider(x_adv, trace.logits, trace.probs)
-        _, dlogits, dx_direct = loss.value_and_grads(trace.logits, trace.probs, x_adv)
-        dx, _ = trace.backward(dlogits)
-        if dx_direct is not None:
-            dx = dx + dx_direct
         # chain through x = (tanh(w) + 1) / 2
         dw = dx * (1.0 - np.tanh(w) ** 2) / 2.0
         w = w - cfg.step_size * dw
@@ -313,14 +307,12 @@ def save_adversarial_set(
         "format": "stochdet-adversarial-set",
         "version": 1,
         "samples": entries,
-        "blob_bytes": len(blob),
     }
     if provenance:
         manifest["provenance"] = provenance
     if attack_meta:
         manifest["attack"] = attack_meta
-    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    return _SET_MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + bytes(blob)
+    return write_container(_SET_MAGIC, manifest, blob)
 
 
 def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample], dict]:

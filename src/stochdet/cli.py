@@ -151,9 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model=False, table=False, thresholds=False):
+    def config_and_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--out", help="output directory (or $STOCHDET_OUT_DIR)")
+        return p
+
+    def common(p: argparse.ArgumentParser, model=False, table=False, thresholds=False):
+        config_and_out(p)
         p.add_argument("--base-seed", type=int, dest="base_seed")
         p.add_argument("--dataset", help="synth:<seed> or idx:<images>:<labels>")
         p.add_argument("--sr-lo", type=float, dest="sr_lo")
@@ -189,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--group-size", type=int, dest="group_size")
     p_sim.add_argument("--window", type=int)
 
-    common(sub.add_parser("report", help="emit metric CSVs from the metrics and cycles artifacts"))
+    config_and_out(sub.add_parser("report", help="emit metric CSVs from the metrics and cycles artifacts"))
 
     p_verify = sub.add_parser("verify", help="re-derive artifact hashes")
     p_verify.add_argument("path", help="artifact file or run directory")

@@ -101,38 +101,26 @@ class Model:
         """Run the network, keeping per-layer inputs and caches for backward.
 
         masks: optional per-layer 0/1 arrays over conv/dense weights.
-        act_factors: optional per-layer multiplicative factors applied to
-        relu outputs (the activation-noise study mode).
+        act_factors: optional multiplicative factors applied to the outputs
+        of the layers they name (relu layers, in the activation-noise study
+        mode).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.input_shape:
             raise nn.ShapeError(f"input shape {x.shape} does not match model input {self.input_shape}")
+        masks, act_factors = masks or {}, act_factors or {}
         inputs: list[np.ndarray] = []
         caches: list[dict] = []
         out = x
-        logits: np.ndarray | None = None
         for idx, spec in enumerate(self.layers):
             inputs.append(out)
             cache: dict = {}
-            mask = masks.get(idx) if masks else None
-            if spec.kind == "conv2d":
-                p = self.params[idx]
-                out = nn.conv2d_forward(out, p["w"], p["b"], spec.stride, mask=mask, cache=cache)
-            elif spec.kind == "relu":
-                out = nn.relu_forward(out)
-                if act_factors and idx in act_factors:
-                    out = out * act_factors[idx]
-            elif spec.kind == "maxpool2d":
-                out = nn.maxpool2d_forward(out, cache=cache)
-            elif spec.kind == "dense":
-                p = self.params[idx]
-                out = nn.dense_forward(out, p["w"], p["b"], mask=mask)
-            elif spec.kind == "softmax":
-                logits = out.ravel()
-                out = nn.softmax(logits).probs
+            out = _FORWARD[spec.kind](spec, self.params.get(idx), out, masks.get(idx), cache)
+            if idx in act_factors:
+                out = out * act_factors[idx]
             caches.append(cache)
-        assert logits is not None, "architecture must end in softmax"
-        return Trace(model=self, inputs=inputs, caches=caches, masks=masks or {}, logits=logits, probs=out)
+        # softmax is always the last layer, so its input is the logits
+        return Trace(model=self, inputs=inputs, caches=caches, masks=masks, logits=inputs[-1].ravel(), probs=out)
 
     def predict(self, x: np.ndarray) -> nn.ProbVector:
         """Mask-free reference pass; repeated calls agree bitwise."""
@@ -147,9 +135,7 @@ class Model:
     def filter_matrix(self, layer_idx: int) -> np.ndarray:
         """Weights of one layer as (n_filters, weights_per_filter)."""
         w = self.params[layer_idx]["w"]
-        if self.layers[layer_idx].kind == "conv2d":
-            return w.reshape(w.shape[0], -1)
-        return w
+        return w.reshape(w.shape[0], -1)
 
     def output_positions(self, layer_idx: int) -> int:
         """Spatial output positions a filter is applied at (1 for dense)."""
@@ -194,53 +180,65 @@ class Trace:
     logits: np.ndarray
     probs: np.ndarray
 
-    def backward(self, dlogits: np.ndarray, want_param_grads: bool = False):
+    def backward(self, dlogits: np.ndarray):
         """Propagate a gradient seeded at the logits back to the input.
 
-        Returns (dx, param_grads); param_grads is None unless requested.
+        Returns (dx, param_grads), param_grads mapping each parametric
+        layer index to its {"w": dw, "b": db}.
         """
-        grads: dict[int, dict[str, np.ndarray]] | None = {} if want_param_grads else None
+        grads: dict[int, dict[str, np.ndarray]] = {}
         d = np.asarray(dlogits, dtype=np.float64)
-        for idx in range(len(self.model.layers) - 1, -1, -1):
-            spec = self.model.layers[idx]
-            x_in = self.inputs[idx]
-            mask = self.masks.get(idx)
-            if spec.kind == "softmax":
-                continue  # losses are seeded at the logits
-            d = d.reshape(self.model.layer_input_shapes[idx + 1])  # this layer's output shape
-            if spec.kind == "conv2d":
-                p = self.model.params[idx]
-                dx, dw, db = nn.conv2d_backward(d, x_in, p["w"], spec.stride, mask=mask, cache=self.caches[idx])
-                if grads is not None:
-                    grads[idx] = {"w": dw, "b": db}
-                d = dx
-            elif spec.kind == "relu":
-                d = nn.relu_backward(d, x_in)
-            elif spec.kind == "maxpool2d":
-                d = nn.maxpool2d_backward(d, x_in, cache=self.caches[idx])
-            elif spec.kind == "dense":
-                p = self.model.params[idx]
-                dx, dw, db = nn.dense_backward(d, x_in, p["w"], mask=mask)
-                if grads is not None:
-                    grads[idx] = {"w": dw, "b": db}
-                d = dx
+        m = self.model
+        # losses seed the gradient at the logits, the input of the last layer (softmax)
+        for idx in range(len(m.layers) - 2, -1, -1):
+            spec = m.layers[idx]
+            d = d.reshape(m.layer_input_shapes[idx + 1])  # this layer's output shape
+            d, g = _BACKWARD[spec.kind](
+                spec, m.params.get(idx), d, self.inputs[idx], self.masks.get(idx), self.caches[idx]
+            )
+            if g is not None:
+                grads[idx] = g
         return d, grads
+
+
+# Each layer kind's forward, (spec, params, x, mask, cache) -> y, and backward,
+# (spec, params, dy, x, mask, cache) -> (dx, {"w": dw, "b": db} or None). Entries look
+# `nn.<fn>` up when called, so a patched module attribute (a tracer's wrapper) is what runs.
+_FORWARD = {
+    "conv2d": lambda s, p, x, m, c: nn.conv2d_forward(x, p["w"], p["b"], s.stride, mask=m, cache=c),
+    "relu": lambda s, p, x, m, c: nn.relu_forward(x),
+    "maxpool2d": lambda s, p, x, m, c: nn.maxpool2d_forward(x, cache=c),
+    "dense": lambda s, p, x, m, c: nn.dense_forward(x, p["w"], p["b"], mask=m),
+    "softmax": lambda s, p, x, m, c: nn.softmax(x).probs,
+}
+_BACKWARD = {
+    "conv2d": lambda s, p, d, x, m, c: nn.conv2d_backward(d, x, p["w"], s.stride, mask=m, cache=c),
+    "relu": lambda s, p, d, x, m, c: (nn.relu_backward(d, x), None),
+    "maxpool2d": lambda s, p, d, x, m, c: (nn.maxpool2d_backward(d, x, cache=c), None),
+    "dense": lambda s, p, d, x, m, c: nn.dense_backward(d, x, p["w"], mask=m),
+}
+
+
+def loss_gradients(model: Model, x: np.ndarray, loss):
+    """One mask-free forward, the loss and one backward: (trace, value, dx, param_grads).
+
+    dx is d(loss)/d(input), the loss's direct input term included.
+    """
+    trace = model.forward_trace(x)
+    value, dlogits, dx_direct = loss.value_and_grads(trace.logits, trace.probs, x)
+    dx, param_grads = trace.backward(dlogits)
+    if dx_direct is not None:
+        dx = dx + dx_direct
+    return trace, value, dx, param_grads
 
 
 def input_gradient(model: Model, x: np.ndarray, loss) -> np.ndarray:
     """d(loss)/d(input) for the dense (mask-free) model."""
-    trace = model.forward_trace(x)
-    _, dlogits, dx_direct = loss.value_and_grads(trace.logits, trace.probs, x)
-    dx, _ = trace.backward(dlogits)
-    if dx_direct is not None:
-        dx = dx + dx_direct
-    return dx
+    return loss_gradients(model, x, loss)[2]
 
 
 def loss_value(model: Model, x: np.ndarray, loss) -> float:
-    trace = model.forward_trace(x)
-    value, _, _ = loss.value_and_grads(trace.logits, trace.probs, x)
-    return float(value)
+    return float(loss_gradients(model, x, loss)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +349,12 @@ def train(
             batch_loss = 0.0
             try:
                 for i in batch:
-                    trace = model.forward_trace(dataset.images[i])
                     loss = nn.CrossEntropyLoss(dataset.labels[i])
-                    value, dlogits, _ = loss.value_and_grads(trace.logits, trace.probs, dataset.images[i])
+                    _, value, _, grads = loss_gradients(model, dataset.images[i], loss)
                     batch_loss += value
-                    _, grads = trace.backward(dlogits, want_param_grads=True)
                     for idx, g in grads.items():
                         if idx not in acc_grads:
-                            acc_grads[idx] = {"w": g["w"], "b": g["b"]}
+                            acc_grads[idx] = g
                         else:
                             acc_grads[idx]["w"] += g["w"]
                             acc_grads[idx]["b"] += g["b"]
@@ -427,12 +423,16 @@ def save_model(model: Model, provenance: dict | None = None) -> bytes:
         "class_count": model.class_count,
         "input_shape": list(model.input_shape),
         "layers": layer_entries,
-        "blob_bytes": len(blob),
     }
     if provenance:
         manifest["provenance"] = provenance
-    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    return _MAGIC + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + bytes(blob)
+    return write_container(_MAGIC, manifest, blob)
+
+
+def write_container(magic: bytes, manifest: dict, blob: bytes) -> bytes:
+    """The container `read_container` reads; sets the manifest's blob_bytes."""
+    manifest_bytes = json.dumps({**manifest, "blob_bytes": len(blob)}, sort_keys=True).encode("utf-8")
+    return magic + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + bytes(blob)
 
 
 def read_container(data: bytes, magic: bytes, error: type[Exception]) -> tuple[dict, bytes]:

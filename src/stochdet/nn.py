@@ -3,7 +3,9 @@
 Tensors are plain ``numpy.ndarray`` in float64, row-major. Convolutions
 are valid (no padding); pooling is a fixed 2x2/stride-2 max. Every layer
 has a forward function and a matching backward that propagates gradients
-to the input (and to the parameters, for training).
+to the input. ``relu_backward`` and ``maxpool2d_backward`` return ``dx``;
+``conv2d_backward`` and ``dense_backward`` return ``(dx, {"w": dw, "b": db})``,
+the form ``model.Trace.backward`` stores.
 
 Weight masks: ``conv2d_forward`` and ``dense_forward`` accept an optional
 0/1 mask over the weight tensor. Masking is implemented by multiplying
@@ -88,8 +90,8 @@ def conv2d_backward(
     stride: int,
     mask: np.ndarray | None,
     cache: dict,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of the conv2d_forward call that filled cache.
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradients (dx, {"w": dw, "b": db}) of the conv2d_forward call that filled cache.
 
     dx is computed against the effective (masked) weights; dw is the raw
     gradient and is only meaningful for mask-free (training) passes.
@@ -104,7 +106,7 @@ def conv2d_backward(
     w_eff = _apply_mask(_as_f64(w), mask)
     dcols = w_eff.reshape(c_out, -1).T @ dy_flat
     dx = _col2im(dcols, x.shape, kh, kw, stride, h_out, w_out)
-    return dx, dw, db
+    return dx, {"w": dw, "b": db}
 
 
 def _col2im(
@@ -174,13 +176,13 @@ def dense_forward(
 
 def dense_backward(
     dy: np.ndarray, x: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     dy = _as_f64(dy)
     x_flat = _as_f64(x).ravel()
     dw = np.outer(dy, x_flat)
     db = dy.copy()
     dx = _apply_mask(_as_f64(w), mask).T @ dy
-    return dx.reshape(np.shape(x)), dw, db
+    return dx.reshape(np.shape(x)), {"w": dw, "b": db}
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .attacks import (
     run_attack,
     save_adversarial_set,
 )
-from .data import DEFAULT_IMAGE_SIZE, Dataset, load_idx_dataset, synth_dataset
+from .data import DEFAULT_IMAGE_SIZE, Dataset, IdxFormatError, load_idx_dataset, synth_dataset
 from .detector import (
     MIN_CALIBRATION_SAMPLES,
     DetectionThresholds,
@@ -274,7 +274,10 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: i
         for p, what in ((images_path, "images"), (labels_path, "labels")):
             if not p.exists():
                 raise ConfigError(f"dataset {what} path does not exist: {p}")
-        full = load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
+        try:
+            full = load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
+        except IdxFormatError as exc:
+            raise ConfigError(f"dataset {images_path} and {labels_path} are not a valid IDX pair: {exc}") from exc
         end = start + count
         if len(full) < end:
             raise ConfigError(f"the {sub} split needs images [{start}, {end}) but {images_path} holds {len(full)}")
@@ -357,10 +360,18 @@ class RunState:
         return load_model(self._given_path("model").read_bytes())
 
     def _load_table(self) -> ThresholdTable:
-        return ThresholdTable.from_json(read_json_artifact(self._given_path("table"))[1])
+        return self._read_given("table", ThresholdTable.from_json)
 
     def _load_thresholds(self) -> DetectionThresholds:
-        return DetectionThresholds.from_json(read_json_artifact(self._given_path("thresholds"))[1]["thresholds"])
+        return self._read_given("thresholds", lambda payload: DetectionThresholds.from_json(payload["thresholds"]))
+
+    def _read_given(self, name: str, parse):
+        """`parse` of the payload of the JSON artifact at the given path; a corrupt one is a ConfigError."""
+        path = self._given_path(name)
+        try:
+            return parse(read_json_artifact(path)[1])
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"{path} is not a valid {name} artifact: {exc!r}") from exc
 
     def _load_adv_sets(self) -> dict[str, list[AdversarialSample]]:
         return {

@@ -124,8 +124,7 @@ def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray) -> Prob
     """Forward pass with the plan's masks on every noise-eligible layer."""
     if plan.model_fingerprint != model.fingerprint():
         raise PlanMismatch("plan was drawn for a different model")
-    masks = {idx: m.astype(np.float64) for idx, m in plan.masks.items()}
-    trace = model.forward_trace(x, masks=masks)
+    trace = model.forward_trace(x, masks=plan.masks)
     return ProbVector(probs=trace.probs, logits=trace.logits)
 
 

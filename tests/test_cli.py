@@ -191,10 +191,27 @@ def test_report_reads_only_metrics_and_cycles(pipeline_run, tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert artifact_payloads(out) == artifact_payloads(run_dir)
-    with pytest.raises(SystemExit) as exc:
-        main(["report", "--config", str(cfg_path), "--out", str(out), "--model", str(run_dir / "model.bin")])
-    assert exc.value.code == 2
+    for extra in (["--model", str(run_dir / "model.bin")], ["--base-seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--config", str(cfg_path), "--out", str(out), *extra])
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", ["{}", "not json"], ids=["empty-object", "not-json"])
+@pytest.mark.parametrize("command,corrupt", [("calibrate", "table"), ("eval", "thresholds")])
+def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, capsys, command, corrupt, content):
+    run_dir = Path(pipeline_run[0].out_dir)
+    (tmp_path / "corrupt.json").write_text(content)
+    given = {"model": run_dir / "model.bin", "table": run_dir / "threshold_table.json"}
+    if command == "eval":
+        given["thresholds"] = run_dir / "thresholds.json"
+    given[corrupt] = tmp_path / "corrupt.json"
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    argv += [arg for name, path in given.items() for arg in (f"--{name}", str(path))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "corrupt.json" in err
 
 
 def test_metrics_csv_schema_and_order(pipeline_run):
@@ -405,6 +422,16 @@ def test_idx_dataset_that_cannot_fill_the_splits_fails_before_training(tmp_path,
     cfg_path = write_config(tmp_path, dataset=spec, detector={"calibration_passes": 50}, **{**sizes, **override})
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.bin").exists()
+
+
+def test_corrupt_idx_file_is_a_config_error(tmp_path, capsys):
+    spec = write_idx_pair(tmp_path, 50, 18)
+    # an 8-byte image header whose rank byte claims 3 extents
+    (tmp_path / "images.idx").write_bytes(bytes([0, 0, 0x08, 3]) + (50).to_bytes(4, "big"))
+    assert main(["train", "--config", str(write_config(tmp_path, dataset=spec))]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "images.idx" in err
     assert not (tmp_path / "run" / "model.bin").exists()
 
 

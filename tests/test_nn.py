@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochdet import nn
-from stochdet.model import LayerSpec, Model, init_model, input_gradient, loss_value
+from stochdet.model import LayerSpec, Model, init_model, input_gradient, loss_gradients, loss_value
 from stochdet.rng import substream
 
 # gradient checks: relative tolerance with a small absolute floor, since
@@ -314,6 +314,38 @@ def test_composite_loss_gradient_matches_finite_differences():
     analytic = input_gradient(model, x, loss)
     numeric = finite_difference(lambda t: loss_value(model, t, loss), x)
     assert_gradients_close(analytic, numeric)
+
+
+def stride2_model(seed: int) -> Model:
+    arch = [
+        LayerSpec("conv2d", out_channels=2, kernel=3, stride=2),
+        LayerSpec("relu"),
+        LayerSpec("maxpool2d"),
+        LayerSpec("dense", out_features=3),
+        LayerSpec("softmax"),
+    ]
+    return init_model(arch, (2, 9, 9), 3, seed)
+
+
+@pytest.mark.parametrize("make_model,shape", [(tiny_model, (1, 8, 8)), (stride2_model, (2, 9, 9))])
+def test_param_gradients_match_finite_differences(make_model, shape):
+    model = make_model(15)
+    x = substream(15, "x").uniform(0.05, 0.95, shape)
+    loss = nn.CrossEntropyLoss(label=1)
+    # a weight nudge of FD_STEP moves each conv output by at most FD_STEP * max|x| < 2 * FD_STEP
+    assert fd_probe_is_smooth(model, x, [loss], margin=2 * FD_STEP)
+    _, _, _, param_grads = loss_gradients(model, x, loss)
+    assert sorted(param_grads) == model.parametric_layers()
+    for idx in model.parametric_layers():
+        for name in ("w", "b"):
+            # finite_difference perturbs the array it is given in place, so
+            # the model under test sees each nudged copy of the parameter
+            original = model.params[idx][name]
+            model.params[idx][name] = original.copy()
+            numeric = finite_difference(lambda _: loss_value(model, x, loss), model.params[idx][name])
+            model.params[idx][name] = original
+            assert param_grads[idx][name].shape == original.shape
+            assert_gradients_close(param_grads[idx][name], numeric)
 
 
 def test_loss_rejects_out_of_range_class():
