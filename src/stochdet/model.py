@@ -238,7 +238,10 @@ def input_gradient(model: Model, x: np.ndarray, loss) -> np.ndarray:
 
 
 def loss_value(model: Model, x: np.ndarray, loss) -> float:
-    return float(loss_gradients(model, x, loss)[1])
+    """The loss of one mask-free forward, with no backward pass."""
+    trace = model.forward_trace(x)
+    value, _, _ = loss.value_and_grads(trace.logits, trace.probs, x)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ a dense pass over a copy of the model whose masked weights are zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +76,31 @@ def conv2d_forward(
     return y.reshape(c_out, h_out, w_out)
 
 
+@lru_cache(maxsize=64)
+def _patch_index(x_shape: tuple, kh: int, kw: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into x of every (channel, kernel row, kernel col, output position).
+
+    Returns (gather, scatter): gather is laid out as the im2col matrix,
+    rows in (channel, row, col) order; scatter lists the same indices with
+    the kernel offset outermost, the order in which _col2im sums them.
+    """
+    c_in, h, wd = x_shape
+    h_out = (h - kh) // stride + 1
+    w_out = (wd - kw) // stride + 1
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(h_out)[None, None, :, None]
+    cols = np.arange(kw)[None, :, None, None] + stride * np.arange(w_out)[None, None, None, :]
+    idx = (np.arange(c_in)[:, None, None, None, None] * (h * wd) + rows * wd + cols).reshape(
+        c_in, kh, kw, h_out, w_out
+    )
+    gather = idx.reshape(c_in * kh * kw, h_out * w_out)
+    scatter = idx.transpose(1, 2, 0, 3, 4).ravel()
+    gather.flags.writeable = scatter.flags.writeable = False
+    return gather, scatter
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    c_in = x.shape[0]
-    cols = np.empty((c_in, kh, kw, h_out, w_out), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-    return cols.reshape(c_in * kh * kw, h_out * w_out)
+    gather, _ = _patch_index(x.shape, kh, kw, stride)
+    return x.ravel()[gather]
 
 
 def conv2d_backward(
@@ -112,13 +132,15 @@ def conv2d_backward(
 def _col2im(
     dcols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, h_out: int, w_out: int
 ) -> np.ndarray:
+    """Sum each column entry back onto the input position it was read from.
+
+    Every input position adds its contributions in kernel-offset order,
+    starting from 0.0, as a loop of one strided add per offset would.
+    """
     c_in = x_shape[0]
-    dx = np.zeros(x_shape, dtype=np.float64)
-    dcols = dcols.reshape(c_in, kh, kw, h_out, w_out)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
-    return dx
+    _, scatter = _patch_index(x_shape, kh, kw, stride)
+    per_offset = dcols.reshape(c_in, kh * kw, h_out * w_out).transpose(1, 0, 2).ravel()
+    return np.bincount(scatter, weights=per_offset, minlength=math.prod(x_shape)).reshape(x_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +155,16 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _as_f64(dy) * (x > 0)
 
 
+@lru_cache(maxsize=64)
+def _pool_index(x_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into x of each 2x2 window, one row per output, and the offsets within a row."""
+    c, h, w = x_shape
+    windows = np.arange(c * h * w).reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+    offsets = np.array([0, 1, w, w + 1])
+    windows.flags.writeable = offsets.flags.writeable = False
+    return windows, offsets
+
+
 def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """2x2 max pooling with stride 2; extents must be even."""
     x = _as_f64(x)
@@ -141,20 +173,20 @@ def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
-    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    idx = windows.argmax(axis=-1)
+    windows, offsets = _pool_index(x.shape)
+    flat = x.ravel()
+    # the first maximum of each window, as argmax picks it
+    pos = windows[:, 0] + offsets[flat[windows].argmax(axis=1)]
     if cache is not None:
-        cache["idx"] = idx
-    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        cache["pos"] = pos
+    return flat[pos].reshape(c, h // 2, w // 2)
 
 
 def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict) -> np.ndarray:
     """Gradient of the maxpool2d_forward call that filled cache."""
-    c, h, w = x.shape
-    idx = cache["idx"]
-    dwin = np.zeros((c, h // 2, w // 2, 4), dtype=np.float64)
-    np.put_along_axis(dwin, idx[..., None], _as_f64(dy)[..., None], axis=-1)
-    return dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    dx = np.zeros(x.size, dtype=np.float64)
+    dx[cache["pos"]] = _as_f64(dy).ravel()
+    return dx.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,28 @@ def test_conv2d_stride_2_matches_naive_loops():
     np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "shape,kernel,stride", [((1, 18, 18), 3, 1), ((8, 8, 8), 3, 1), ((2, 9, 9), 3, 2), ((2, 10, 7), 4, 3)]
+)
+def test_conv2d_backward_dx_sums_in_kernel_offset_order(shape, kernel, stride):
+    # each input position must add its contributions in (kernel row, kernel
+    # col) order from 0.0, so gradients stay bit-identical across rewrites
+    rng = substream(5, "col2im")
+    x = rng.normal(size=shape)
+    w = rng.normal(size=(3, shape[0], kernel, kernel))
+    cache = {}
+    y = nn.conv2d_forward(x, w, np.zeros(3), stride=stride, cache=cache)
+    dy = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
+    dx, _ = nn.conv2d_backward(dy, x, w, stride, None, cache)
+    dcols = (w.reshape(3, -1).T @ dy.reshape(3, -1)).reshape(shape[0], kernel, kernel, *y.shape[1:])
+    expected = np.zeros(shape)
+    h_out, w_out = y.shape[1:]
+    for i in range(kernel):
+        for j in range(kernel):
+            expected[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += dcols[:, i, j]
+    assert dx.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # relu / maxpool
 
@@ -178,6 +200,15 @@ def test_maxpool_matches_bruteforce_windows():
         for i in range(2):
             for j in range(2):
                 assert y[c, i, j] == x[c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
+
+
+def test_maxpool_gradient_goes_to_the_first_maximum():
+    x = np.array([[[1.0, 1.0, 0.0, 2.0], [1.0, 1.0, 2.0, 1.0]]])
+    cache = {}
+    y = nn.maxpool2d_forward(x, cache=cache)
+    np.testing.assert_array_equal(y, [[[1.0, 2.0]]])
+    dx = nn.maxpool2d_backward(np.array([[[5.0, 7.0]]]), x, cache)
+    np.testing.assert_array_equal(dx, [[[5.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]]])
 
 
 def test_maxpool_rejects_odd_extent():
