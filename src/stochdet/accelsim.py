@@ -38,8 +38,8 @@ class AcceleratorConfig:
     lookahead: int = 4
 
     def __post_init__(self) -> None:
-        if self.group_size < 1 or self.lookahead < 1:
-            raise ValueError(f"group_size and lookahead must be >= 1, got ({self.group_size}, {self.lookahead})")
+        if not all(isinstance(v, int) and v >= 1 for v in (self.group_size, self.lookahead)):
+            raise ValueError(f"need integer group_size, lookahead >= 1; got ({self.group_size!r}, {self.lookahead!r})")
 
 
 @dataclass

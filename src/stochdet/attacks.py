@@ -48,8 +48,10 @@ class AttackConfig:
             raise AttackError(f"unknown attack kind {self.kind!r}")
         if self.target_mode not in ("next", "least_likely"):
             raise AttackError(f"unknown target mode {self.target_mode!r}")
-        if self.steps < 1:
-            raise AttackError(f"steps must be at least 1, got {self.steps}")
+        if not (isinstance(self.steps, int) and self.steps >= 1 and self.step_size > 0):
+            raise AttackError(f"need integer steps >= 1 and step_size > 0; got ({self.steps!r}, {self.step_size!r})")
+        if not 0.0 <= self.eps < 1.0:
+            raise AttackError(f"eps must be in [0, 1), got {self.eps}")
         if self.k < 0 or self.c <= 0 or self.beta < 0:
             raise AttackError(f"need k >= 0, c > 0, beta >= 0; got k={self.k} c={self.c} beta={self.beta}")
 

@@ -4,9 +4,9 @@ Subcommands mirror the pipeline stages (train, profile, attack,
 calibrate, eval, simulate, report) plus `detect` for one set, `run` for
 the whole experiment and `verify` to re-derive artifact hashes. Each
 stage subcommand runs the same stage function as `run`, reading the
-artifacts earlier stages left in --out. Configuration comes from one JSON
-file with flag overrides on top; all outputs land in --out (or
-$STOCHDET_OUT_DIR).
+artifacts earlier stages left in --out. Every experiment value comes from
+one JSON config file; flags give paths, and `detect --base-seed` re-rolls
+the detection noise. All outputs land in --out (or $STOCHDET_OUT_DIR).
 
 Exit codes: 0 success, 2 config error, 3 stage failure.
 """
@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .attacks import load_adversarial_set
+from .attacks import AttackError, load_adversarial_set
 from .detector import detect_set
 from .model import ModelFormatError
 from .pipeline import (
@@ -51,27 +50,14 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # flag overrides
+    # detect's noise re-roll
     if getattr(args, "base_seed", None) is not None:
         cfg.base_seed = args.base_seed
-    if getattr(args, "dataset", None):
-        cfg.dataset = args.dataset
     out = getattr(args, "out", None) or os.environ.get("STOCHDET_OUT_DIR")
     if out:
         cfg.out_dir = out
     if getattr(args, "model", None):
         cfg.model_path = args.model
-    noise = {k: getattr(args, k) for k in ("sr_lo", "sr_hi", "gamma") if getattr(args, k, None) is not None}
-    accelerator = {
-        k: getattr(args, flag)
-        for k, flag in (("group_size", "group_size"), ("lookahead", "window"))
-        if getattr(args, flag, None) is not None
-    }
-    try:
-        cfg.noise = replace(cfg.noise, **noise)
-        cfg.accelerator = replace(cfg.accelerator, **accelerator)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return cfg
 
 
@@ -112,7 +98,10 @@ def cmd_detect(args) -> int:
         path = Path(args.adversarial_set)
         if not path.exists():
             raise ConfigError(f"adversarial set path does not exist: {path}")
-        inputs = [s.perturbed for s in load_adversarial_set(path.read_bytes())]
+        try:
+            inputs = [s.perturbed for s in load_adversarial_set(path.read_bytes())]
+        except AttackError as exc:
+            raise ConfigError(f"{path} is not a valid adversarial set: {exc}") from exc
         tag = "adversarial"
     else:
         inputs, tag = state["benign_eval"], "benign"
@@ -151,18 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def config_and_out(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    def common(p: argparse.ArgumentParser, model=False, table=False, thresholds=False):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--out", help="output directory (or $STOCHDET_OUT_DIR)")
-        return p
-
-    def common(p: argparse.ArgumentParser, model=False, table=False, thresholds=False):
-        config_and_out(p)
-        p.add_argument("--base-seed", type=int, dest="base_seed")
-        p.add_argument("--dataset", help="synth:<seed> or idx:<images>:<labels>")
-        p.add_argument("--sr-lo", type=float, dest="sr_lo")
-        p.add_argument("--sr-hi", type=float, dest="sr_hi")
-        p.add_argument("--gamma", type=float)
         if model:
             p.add_argument("--model", help="path to a model container")
         if table:
@@ -179,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="run the detector over a set")
     common(p_detect, model=True, table=True, thresholds=True)
     p_detect.add_argument("--adversarial-set", help="adversarial container to detect instead of benign data")
+    p_detect.add_argument("--base-seed", type=int, dest="base_seed", help="re-roll the detection noise")
     p_detect.add_argument("--name", help="verdict log name suffix")
 
     common(
@@ -188,12 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         thresholds=True,
     )
 
-    p_sim = sub.add_parser("simulate", help="accelerator cycle model")
-    common(p_sim, model=True, table=True)
-    p_sim.add_argument("--group-size", type=int, dest="group_size")
-    p_sim.add_argument("--window", type=int)
-
-    config_and_out(sub.add_parser("report", help="emit metric CSVs from the metrics and cycles artifacts"))
+    common(sub.add_parser("simulate", help="accelerator cycle model"), model=True, table=True)
+    common(sub.add_parser("report", help="emit metric CSVs from the metrics and cycles artifacts"))
 
     p_verify = sub.add_parser("verify", help="re-derive artifact hashes")
     p_verify.add_argument("path", help="artifact file or run directory")

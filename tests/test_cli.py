@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, artifact provenance, and determinism."""
 
+import argparse
 import json
 import shutil
 from dataclasses import replace
@@ -199,12 +200,14 @@ def test_report_reads_only_metrics_and_cycles(pipeline_run, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", ["{}", "not json"], ids=["empty-object", "not-json"])
-@pytest.mark.parametrize("command,corrupt", [("calibrate", "table"), ("eval", "thresholds")])
+@pytest.mark.parametrize(
+    "command,corrupt", [("calibrate", "table"), ("eval", "thresholds"), ("detect", "adversarial-set")]
+)
 def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, capsys, command, corrupt, content):
     run_dir = Path(pipeline_run[0].out_dir)
     (tmp_path / "corrupt.json").write_text(content)
     given = {"model": run_dir / "model.bin", "table": run_dir / "threshold_table.json"}
-    if command == "eval":
+    if command in ("eval", "detect"):
         given["thresholds"] = run_dir / "thresholds.json"
     given[corrupt] = tmp_path / "corrupt.json"
     argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
@@ -301,11 +304,23 @@ def test_partial_sections_keep_experiment_defaults():
         {"calib_count": 250},
         {"train_count": 4.5},
         {"detector": {"calibration_passes": 2.5}},
+        {"noise": {"sr_lo": 0.9, "sr_hi": 0.2}},
+        [],
+        [["base_seed", 3]],
+        {"attacks": [{"kind": "fgsm", "eps": 1.5}]},
+        {"attacks": [{"kind": "cw_l2", "steps": 2.5}]},
+        {"attacks": [{"kind": "cw_l2", "step_size": 0.0}]},
+        {"accelerator": {"group_size": 2.5}},
+        {"accelerator": {"lookahead": 1.5}},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
-    cfg_path = write_config(tmp_path, **override)
-    assert main(["train", "--config", str(cfg_path)]) == 2
+    if isinstance(override, dict):
+        cfg_path = write_config(tmp_path, **override)
+    else:  # a config whose root is not a JSON object
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(override))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.bin").exists()
 
@@ -350,7 +365,7 @@ def test_cli_stage_chain(tmp_path, capsys, pipeline_run):
     assert main(["attack", "--config", str(cfg_path), "--model", str(model)]) == 0
     assert (out / "adv_cw_l2_next_k0.bin").exists()
     assert main(
-        ["simulate", "--config", str(cfg_path), "--model", str(model), "--table", str(table), "--window", "2"]
+        ["simulate", "--config", str(cfg_path), "--model", str(model), "--table", str(table)]
     ) == 0
     assert main(
         [
@@ -443,10 +458,34 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert (env_out / "model.bin").exists()
 
 
-def test_noise_flag_overrides(tmp_path):
-    cfg_path = write_config(tmp_path)
-    # invalid override caught as a config error
-    assert main(["train", "--config", str(cfg_path), "--sr-lo", "0.9", "--sr-hi", "0.2"]) == 2
+def test_each_subcommand_takes_only_paths():
+    """The config file sets every experiment value; only detect's --base-seed re-rolls the noise."""
+    paths = {"--config", "--out"}
+    expected = {
+        "run": paths | {"--model"},
+        "train": paths,
+        "profile": paths | {"--model"},
+        "attack": paths | {"--model"},
+        "calibrate": paths | {"--model", "--table"},
+        "detect": paths | {"--model", "--table", "--thresholds", "--adversarial-set", "--base-seed", "--name"},
+        "eval": paths | {"--model", "--table", "--thresholds"},
+        "simulate": paths | {"--model", "--table"},
+        "report": paths,
+        "verify": set(),
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} for name, p in sub.choices.items()}
+    assert options == {name: flags | {"-h", "--help"} for name, flags in expected.items()}
+
+
+@pytest.mark.parametrize(
+    "argv", [["train", "--sr-lo", "0.9"], ["simulate", "--window", "2"]], ids=["train-sr-lo", "simulate-window"]
+)
+def test_value_flags_are_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(write_config(tmp_path))])
+    assert exc.value.code == 2
+    assert not (tmp_path / "run" / "model.bin").exists()
 
 
 def test_default_config_hash_stable():
