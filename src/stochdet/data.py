@@ -21,6 +21,7 @@ from .rng import substream
 
 NOISE_AMPLITUDE = 0.1
 DEFAULT_IMAGE_SIZE = 18  # smallest even-pool-friendly size for the fixture net
+MIN_SYNTH_IMAGE_SIZE = 12
 CLASS_NAMES = ("filled_square", "hollow_square", "cross", "diagonal_stripe")
 
 
@@ -71,8 +72,8 @@ def synth_dataset(seed: int, count: int, image_size: int = DEFAULT_IMAGE_SIZE) -
     """Deterministic synthetic corpus of the CLASS_NAMES shapes; same seed, same bytes."""
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    if image_size < 12:
-        raise ValueError(f"image_size must be at least 12, got {image_size}")
+    if image_size < MIN_SYNTH_IMAGE_SIZE:
+        raise ValueError(f"image_size must be at least {MIN_SYNTH_IMAGE_SIZE}, got {image_size}")
 
     class_count = len(CLASS_NAMES)
     rng = substream(seed, "synth")

@@ -2,8 +2,9 @@
 
 One mask-free reference pass fixes the output distribution P_ref and the
 noise budget. Noisy passes then re-run the input under random weight
-sparsification, and the L1 distance between each noisy output and P_ref
-drives a small state machine:
+sparsification, each starting from the reference pass's input to its
+first masked layer, and the L1 distance between each noisy output and
+P_ref drives a small state machine:
 
   pass 1:   d < t1_greedy  -> benign       d > t2_greedy -> adversarial
   any pass: mean(d_1..d_i) < t1_avg -> benign, > t2_avg -> adversarial
@@ -90,6 +91,16 @@ class DetectionVerdict:
         return asdict(self) if input_id is None else {"input_id": input_id, **asdict(self)}
 
 
+def _mean(history: list[float], total: float) -> float:
+    """np.mean(history), given total, the sum of history added in order from 0.0.
+
+    Below 8 values numpy's pairwise sum adds them one by one from 0.0, so
+    total / n is np.mean bit for bit.
+    """
+    n = len(history)
+    return total / n if n < 8 else float(np.mean(history))
+
+
 def decide(
     distances: Callable[[int], float],
     thresholds: DetectionThresholds,
@@ -103,20 +114,22 @@ def decide(
     distance joins the running average.
     """
     history: list[float] = []
+    total = 0.0
     for i in range(1, max_runs + 1):
         d = float(distances(i))
         history.append(d)
+        total += d
         if i == 1:
             if d < thresholds.t1_greedy:
                 return "benign", i, history, "greedy"
             if d > thresholds.t2_greedy:
                 return "adversarial", i, history, "greedy"
-        mean = float(np.mean(history))
+        mean = _mean(history, total)
         if mean < thresholds.t1_avg:
             return "benign", i, history, "average"
         if mean > thresholds.t2_avg:
             return "adversarial", i, history, "average"
-    mean = float(np.mean(history))
+    mean = _mean(history, total)
     midpoint = 0.5 * (thresholds.t1_avg + thresholds.t2_avg)
     label = "adversarial" if mean > midpoint else "benign"  # ties stay benign
     return label, max_runs, history, "cap"
@@ -127,22 +140,45 @@ def input_seed(base_seed: int, tag: str, index: int) -> int:
     return derive_seed(base_seed, tag, index)
 
 
+def _passes_of(
+    model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig
+) -> tuple[ProbVector, Callable[[int, int], SparsificationPlan], Callable[[int, int], float]]:
+    """The reference output of x, and the plan and L1 distance of its noisy pass (base_seed, i).
+
+    The reference pass and the noise budget are computed once. Each noisy
+    pass starts at its plan's first masked layer, from the reference
+    trace's input to that layer; the layers before it would recompute that
+    input bit for bit. The shared inner inputs are made read-only.
+    """
+    trace = model.forward_trace(x, cache=False)
+    for shared in trace.inputs[1:-1]:  # inputs[0] is the caller's x, inputs[-1] the logits
+        shared.flags.writeable = False
+    ref = trace.output
+    budget = noise_budget(confidence(ref), noise)
+
+    def plan(base_seed: int, i: int) -> SparsificationPlan:
+        return draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
+
+    def distance(base_seed: int, i: int) -> float:
+        p = plan(base_seed, i)
+        start = min(p.masks, default=0)
+        return l1_distance(noisy_forward(model, p, trace.inputs[start], start), ref)
+
+    return ref, plan, distance
+
+
 def noisy_passes(
     model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
 ) -> tuple[ProbVector, Callable[[int], SparsificationPlan], Callable[[int], float]]:
     """The reference output of x, the plan of its noisy pass i and that pass's L1 distance.
 
     The reference output and the noise budget are computed once and reused
-    for every pass. Pass seeds derive from (base_seed, pass index), so
+    for every pass, and every pass starts from the reference's prefix (see
+    _passes_of). Pass seeds derive from (base_seed, pass index), so
     speculative or parallel execution of later passes cannot change them.
     """
-    ref = model.predict(x)
-    budget = noise_budget(confidence(ref), noise)
-
-    def plan(i: int) -> SparsificationPlan:
-        return draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
-
-    return ref, plan, lambda i: l1_distance(noisy_forward(model, plan(i), x), ref)
+    ref, plan, distance = _passes_of(model, table, x, noise)
+    return ref, lambda i: plan(base_seed, i), lambda i: distance(base_seed, i)
 
 
 def stochastic_inference(
@@ -218,11 +254,15 @@ def calibration_distances(
     """
     if passes < 1:
         raise ValueError(f"passes must be at least 1, got {passes}")
-    rounds = [
-        first_pass_distances(model, table, inputs, noise, derive_seed(base_seed, "round", r))
-        for r in range(passes)
-    ]
-    return np.concatenate(rounds)
+    round_seeds = [derive_seed(base_seed, "round", r) for r in range(passes)]
+    # round-major, as one first_pass_distances call per round would order them,
+    # with one reference pass per input
+    out = np.empty((passes, len(inputs)))
+    for i, x in enumerate(inputs):
+        distance = _passes_of(model, table, x, noise)[2]
+        for r, seed in enumerate(round_seeds):
+            out[r, i] = distance(input_seed(seed, "input", i), 1)
+    return out.ravel()
 
 
 def calibrate(benign_l1_samples: np.ndarray, target_fpr: float) -> DetectionThresholds:

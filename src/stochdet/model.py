@@ -2,9 +2,11 @@
 
 A model is an ordered list of layer specs plus the weight tensors of its
 parametric layers. Inference and gradients are composed from the layer
-functions in :mod:`stochdet.nn`. The reference pass (``predict``) never
-applies masks; noisy passes supply per-layer weight masks or activation
-noise factors through ``forward_trace``.
+functions in :mod:`stochdet.nn`. The reference pass never applies
+masks; noisy passes supply per-layer weight masks or activation noise
+factors through ``forward_trace``. A noisy pass starts from the reference
+trace's input to its first masked layer (``forward_trace(start=...)``),
+and passes that need no backward skip the layer caches (``cache=False``).
 
 The container format is a JSON manifest (architecture, shapes, byte
 offsets) followed by a little-endian float64 weight blob.
@@ -97,35 +99,47 @@ class Model:
         x: np.ndarray,
         masks: dict[int, np.ndarray] | None = None,
         act_factors: dict[int, np.ndarray] | None = None,
+        *,
+        start: int = 0,
+        cache: bool = True,
     ) -> "Trace":
-        """Run the network, keeping per-layer inputs and caches for backward.
+        """Run the network from layer `start`, keeping per-layer inputs and caches for backward.
 
+        x is the input to layer `start`: the model input when start is 0, or
+        a trace's input to that layer, for a pass that shares the layers
+        before it. x is only read, so a shared prefix stays intact.
         masks: optional per-layer 0/1 arrays over conv/dense weights.
         act_factors: optional multiplicative factors applied to the outputs
         of the layers they name (relu layers, in the activation-noise study
         mode).
+        cache=False skips what only backward needs (predict and noisy
+        passes); its outputs are the same bytes.
         """
+        if not 0 <= start < len(self.layers):
+            raise ValueError(f"start layer {start} outside the model's {len(self.layers)} layers")
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.input_shape:
-            raise nn.ShapeError(f"input shape {x.shape} does not match model input {self.input_shape}")
+        if x.shape != self.layer_input_shapes[start]:
+            what = "model input" if start == 0 else f"layer {start} input"
+            raise nn.ShapeError(f"input shape {x.shape} does not match {what} {self.layer_input_shapes[start]}")
         masks, act_factors = masks or {}, act_factors or {}
         inputs: list[np.ndarray] = []
-        caches: list[dict] = []
+        caches: list[dict] | None = [] if cache else None
         out = x
-        for idx, spec in enumerate(self.layers):
+        for idx in range(start, len(self.layers)):
+            spec = self.layers[idx]
             inputs.append(out)
-            cache: dict = {}
-            out = _FORWARD[spec.kind](spec, self.params.get(idx), out, masks.get(idx), cache)
+            layer_cache = {} if cache else None
+            out = _FORWARD[spec.kind](spec, self.params.get(idx), out, masks.get(idx), layer_cache)
             if idx in act_factors:
                 out = out * act_factors[idx]
-            caches.append(cache)
-        # softmax is always the last layer, so its input is the logits
-        return Trace(model=self, inputs=inputs, caches=caches, masks=masks, logits=inputs[-1].ravel(), probs=out)
+            if cache:
+                caches.append(layer_cache)
+        # softmax is always the last layer: out is its ProbVector and its input the logits
+        return Trace(model=self, inputs=inputs, caches=caches, masks=masks, output=out, start=start)
 
     def predict(self, x: np.ndarray) -> nn.ProbVector:
         """Mask-free reference pass; repeated calls agree bitwise."""
-        trace = self.forward_trace(x)
-        return nn.ProbVector(probs=trace.probs, logits=trace.logits)
+        return self.forward_trace(x, cache=False).output
 
     # ---- structure helpers ------------------------------------------
 
@@ -173,19 +187,36 @@ class Model:
 
 @dataclass
 class Trace:
+    """The layer inputs of one forward from layer `start`, and its output.
+
+    inputs[i] is the input to layer start + i. caches is None for a
+    cache-less forward.
+    """
+
     model: Model
     inputs: list[np.ndarray]
-    caches: list[dict]
+    caches: list[dict] | None
     masks: dict[int, np.ndarray]
-    logits: np.ndarray
-    probs: np.ndarray
+    output: nn.ProbVector
+    start: int = 0
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self.output.probs
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.output.logits
 
     def backward(self, dlogits: np.ndarray):
         """Propagate a gradient seeded at the logits back to the input.
 
         Returns (dx, param_grads), param_grads mapping each parametric
-        layer index to its {"w": dw, "b": db}.
+        layer index to its {"w": dw, "b": db}. Needs a cached forward of
+        the whole network.
         """
+        if self.caches is None or self.start != 0:
+            raise ValueError("backward needs a forward_trace with caches, started at layer 0")
         grads: dict[int, dict[str, np.ndarray]] = {}
         d = np.asarray(dlogits, dtype=np.float64)
         m = self.model
@@ -209,7 +240,7 @@ _FORWARD = {
     "relu": lambda s, p, x, m, c: nn.relu_forward(x),
     "maxpool2d": lambda s, p, x, m, c: nn.maxpool2d_forward(x, cache=c),
     "dense": lambda s, p, x, m, c: nn.dense_forward(x, p["w"], p["b"], mask=m),
-    "softmax": lambda s, p, x, m, c: nn.softmax(x).probs,
+    "softmax": lambda s, p, x, m, c: nn.softmax(x),
 }
 _BACKWARD = {
     "conv2d": lambda s, p, d, x, m, c: nn.conv2d_backward(d, x, p["w"], s.stride, mask=m, cache=c),

@@ -166,19 +166,27 @@ def _pool_index(x_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """2x2 max pooling with stride 2; extents must be even."""
+    """2x2 max pooling with stride 2; extents must be even.
+
+    Each output is its window's first maximum in (row, col) order. With a
+    cache, the positions backward needs are recorded as well.
+    """
     x = _as_f64(x)
     if x.ndim != 3:
         raise ShapeError(f"maxpool2d expects a 3-d tensor, got shape {x.shape}")
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
+    if cache is None:
+        # np.maximum returns its second operand on ties, so folding each later
+        # window slice in as the first operand keeps the first maximum (+0 vs -0)
+        out = np.maximum(x[:, ::2, 1::2], x[:, ::2, ::2])
+        np.maximum(x[:, 1::2, ::2], out, out=out)
+        return np.maximum(x[:, 1::2, 1::2], out, out=out)
     windows, offsets = _pool_index(x.shape)
     flat = x.ravel()
     # the first maximum of each window, as argmax picks it
-    pos = windows[:, 0] + offsets[flat[windows].argmax(axis=1)]
-    if cache is not None:
-        cache["pos"] = pos
+    pos = cache["pos"] = windows[:, 0] + offsets[flat[windows].argmax(axis=1)]
     return flat[pos].reshape(c, h // 2, w // 2)
 
 

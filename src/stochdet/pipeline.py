@@ -34,7 +34,7 @@ from .attacks import (
     run_attack,
     save_adversarial_set,
 )
-from .data import DEFAULT_IMAGE_SIZE, Dataset, IdxFormatError, load_idx_dataset, synth_dataset
+from .data import DEFAULT_IMAGE_SIZE, MIN_SYNTH_IMAGE_SIZE, Dataset, IdxFormatError, load_idx_dataset, synth_dataset
 from .detector import (
     MIN_CALIBRATION_SAMPLES,
     DetectionThresholds,
@@ -49,6 +49,7 @@ from .detector import (
 from .model import (
     Model,
     TrainConfig,
+    _propagate_shapes,
     conv_pool_arch,
     load_model,
     profile_thresholds,
@@ -102,6 +103,29 @@ def _default_attacks() -> list[AttackConfig]:
     ]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def parse_dataset_spec(spec: str) -> tuple:
+    """('synth', seed) for 'synth:<seed>', ('idx', images_path, labels_path) for 'idx:<images>:<labels>'."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"dataset must be a string, got {spec!r}")
+    parts = spec.split(":")
+    if parts[0] == "synth":
+        if len(parts) != 2:
+            raise ConfigError(f"synth dataset spec must be synth:<seed>, got {spec!r}")
+        try:
+            return "synth", int(parts[1])
+        except ValueError as exc:
+            raise ConfigError(f"synth seed must be an integer, got {parts[1]!r}") from exc
+    if parts[0] == "idx":
+        if len(parts) != 3:
+            raise ConfigError(f"idx dataset spec must be idx:<images>:<labels>, got {spec!r}")
+        return "idx", Path(parts[1]), Path(parts[2])
+    raise ConfigError(f"unknown dataset kind {parts[0]!r} in {spec!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """The experiment; its field defaults are the only statement of its values."""
@@ -127,7 +151,22 @@ class ExperimentConfig:
     simulate_count: int = 20  # inputs simulated, from the benign-eval slice
 
     def __post_init__(self) -> None:
-        """Set sizes that would make a later stage fail are rejected at load."""
+        """Values and set sizes that would make a later stage fail are rejected at load."""
+        if not _is_int(self.base_seed):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        dataset_kind = parse_dataset_spec(self.dataset)[0]
+        sizes_ok = all(_is_int(v) and v >= 1 for v in (self.image_size, self.kernel))
+        channels_ok = isinstance(self.arch_channels, (list, tuple)) and len(self.arch_channels) > 0
+        if not (sizes_ok and channels_ok and all(_is_int(v) and v >= 1 for v in self.arch_channels)):
+            raise ValueError(
+                "need integer image_size >= 1 and kernel >= 1 and a non-empty list of integer arch_channels >= 1; "
+                f"got ({self.image_size!r}, {self.kernel!r}, {self.arch_channels!r})"
+            )
+        if dataset_kind == "synth" and self.image_size < MIN_SYNTH_IMAGE_SIZE:
+            raise ValueError(f"synthetic images need image_size >= {MIN_SYNTH_IMAGE_SIZE}, got {self.image_size}")
+        # the class count does not change any shape before the dense head
+        arch = conv_pool_arch(tuple(self.arch_channels), self.kernel, class_count=1)
+        _propagate_shapes(arch, (1, self.image_size, self.image_size))
         counts = {
             "train_count": self.train_count,
             "test_count": self.test_count,
@@ -135,9 +174,9 @@ class ExperimentConfig:
             "benign_eval_count": self.benign_eval_count,
             "simulate_count": self.simulate_count,
         }
-        if not all(isinstance(v, int) and v >= 1 for v in counts.values()):
+        if not all(_is_int(v) and v >= 1 for v in counts.values()):
             raise ValueError(f"set sizes must be integers >= 1, got {counts}")
-        if not isinstance(self.attack_count, int) or self.attack_count < 0:
+        if not _is_int(self.attack_count) or self.attack_count < 0:
             raise ValueError(f"attack_count must be an integer >= 0, got {self.attack_count!r}")
         if self.calib_count + self.benign_eval_count > self.test_count:
             raise ValueError(
@@ -260,33 +299,23 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: i
     images from index `start`, so a test split starting at the train
     count shares no image with the train split.
     """
-    parts = spec.split(":")
-    if parts[0] == "synth":
-        if len(parts) != 2:
-            raise ConfigError(f"synth dataset spec must be synth:<seed>, got {spec!r}")
-        try:
-            seed = int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"synth seed must be an integer, got {parts[1]!r}") from exc
-        return synth_dataset(derive_seed(seed, sub), count, image_size)
-    if parts[0] == "idx":
-        if len(parts) != 3:
-            raise ConfigError(f"idx dataset spec must be idx:<images>:<labels>, got {spec!r}")
-        images_path, labels_path = Path(parts[1]), Path(parts[2])
-        for p, what in ((images_path, "images"), (labels_path, "labels")):
-            if not p.exists():
-                raise ConfigError(f"dataset {what} path does not exist: {p}")
-        try:
-            full = load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
-        except IdxFormatError as exc:
-            raise ConfigError(f"dataset {images_path} and {labels_path} are not a valid IDX pair: {exc}") from exc
-        end = start + count
-        if len(full) < end:
-            raise ConfigError(f"the {sub} split needs images [{start}, {end}) but {images_path} holds {len(full)}")
-        if full.images[0].shape != (1, image_size, image_size):
-            raise ConfigError(f"{images_path} holds {full.images[0].shape[1:]} images but image_size is {image_size}")
-        return Dataset(full.images[start:end], full.labels[start:end], full.class_count)
-    raise ConfigError(f"unknown dataset kind {parts[0]!r} in {spec!r}")
+    kind, *args = parse_dataset_spec(spec)
+    if kind == "synth":
+        return synth_dataset(derive_seed(args[0], sub), count, image_size)
+    images_path, labels_path = args
+    for p, what in ((images_path, "images"), (labels_path, "labels")):
+        if not p.exists():
+            raise ConfigError(f"dataset {what} path does not exist: {p}")
+    try:
+        full = load_idx_dataset(images_path.read_bytes(), labels_path.read_bytes())
+    except IdxFormatError as exc:
+        raise ConfigError(f"dataset {images_path} and {labels_path} are not a valid IDX pair: {exc}") from exc
+    end = start + count
+    if len(full) < end:
+        raise ConfigError(f"the {sub} split needs images [{start}, {end}) but {images_path} holds {len(full)}")
+    if full.images[0].shape != (1, image_size, image_size):
+        raise ConfigError(f"{images_path} holds {full.images[0].shape[1:]} images but image_size is {image_size}")
+    return Dataset(full.images[start:end], full.labels[start:end], full.class_count)
 
 
 def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list[np.ndarray]:

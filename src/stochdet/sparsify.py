@@ -120,12 +120,18 @@ def draw_plan(
     return plan
 
 
-def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray) -> ProbVector:
-    """Forward pass with the plan's masks on every noise-eligible layer."""
+def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray, start: int = 0) -> ProbVector:
+    """Forward pass with the plan's masks on every noise-eligible layer.
+
+    x is the input to layer `start` (see Model.forward_trace), so a pass
+    can begin at its first masked layer from a reference trace's input to
+    it; starting after a masked layer is refused.
+    """
     if plan.model_fingerprint != model.fingerprint():
         raise PlanMismatch("plan was drawn for a different model")
-    trace = model.forward_trace(x, masks=plan.masks)
-    return ProbVector(probs=trace.probs, logits=trace.logits)
+    if start > min(plan.masks, default=start):
+        raise ValueError(f"a pass starting at layer {start} would skip masked layer {min(plan.masks)}")
+    return model.forward_trace(x, masks=plan.masks, start=start, cache=False).output
 
 
 def noisy_activation_forward(
@@ -141,5 +147,4 @@ def noisy_activation_forward(
                 shape = model.layer_input_shapes[idx]  # relu preserves shape
                 delta = substream(pass_seed, "act", idx).uniform(-level, level, size=shape)
                 factors[idx] = 1.0 + delta
-    trace = model.forward_trace(x, act_factors=factors)
-    return ProbVector(probs=trace.probs, logits=trace.logits)
+    return model.forward_trace(x, act_factors=factors, cache=False).output

@@ -312,6 +312,16 @@ def test_partial_sections_keep_experiment_defaults():
         {"attacks": [{"kind": "cw_l2", "step_size": 0.0}]},
         {"accelerator": {"group_size": 2.5}},
         {"accelerator": {"lookahead": 1.5}},
+        {"kernel": 2.5},
+        {"image_size": 0},
+        {"arch_channels": [0]},
+        {"dataset": "synth:x"},
+        {"base_seed": 1.5},
+        {"base_seed": "7"},
+        {"arch_channels": []},
+        {"kernel": 9},
+        {"image_size": 10},
+        {"dataset": "idx:images.idx"},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
@@ -430,7 +440,8 @@ def test_idx_splits_are_disjoint_slices_in_order(tmp_path):
     assert not {img.tobytes() for img in train.images} & {img.tobytes() for img in test.images}
 
 
-@pytest.mark.parametrize("override", [{"train_count": 46}, {"image_size": 20}], ids=["too-few-images", "image-size"])
+# image_size 22 fits the architecture, so the mismatch with the files' 18x18 images is what fails
+@pytest.mark.parametrize("override", [{"train_count": 46}, {"image_size": 22}], ids=["too-few-images", "image-size"])
 def test_idx_dataset_that_cannot_fill_the_splits_fails_before_training(tmp_path, capsys, override):
     spec = write_idx_pair(tmp_path, 50, 18)
     sizes = {"train_count": 10, "test_count": 5, "calib_count": 2, "benign_eval_count": 2, "simulate_count": 1}

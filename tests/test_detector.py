@@ -8,19 +8,23 @@ from hypothesis import strategies as st
 from stochdet.detector import (
     DetectionThresholds,
     DetectorConfig,
+    _mean,
     calibrate,
+    calibration_distances,
     decide,
     detect_set,
     first_pass_distance,
     first_pass_distances,
     l1_distance,
+    noisy_passes,
     stochastic_inference,
 )
+from stochdet.model import conv_pool_arch, init_model, profile_thresholds
 from stochdet.attacks import AttackConfig
 from stochdet.nn import ProbVector
 from stochdet.pipeline import ExperimentConfig, evaluate_attack_sets
 from stochdet.rng import derive_seed
-from stochdet.sparsify import NoiseConfig
+from stochdet.sparsify import NoiseConfig, draw_plan, noisy_forward
 
 
 def pv(probs):
@@ -151,6 +155,88 @@ def test_monotone_rule_soundness(distances):
     label_hi, *_ = run(distances, thresholds=hi, max_runs=len(distances))
     if label_lo == "benign":
         assert label_hi == "benign"
+
+
+def np_mean_decide(distances, thresholds, max_runs):
+    """decide as first written, with np.mean over the history at every pass."""
+    history = []
+    for i in range(1, max_runs + 1):
+        history.append(float(distances[i - 1]))
+        if i == 1 and history[0] < thresholds.t1_greedy:
+            return "benign", i, history, "greedy"
+        if i == 1 and history[0] > thresholds.t2_greedy:
+            return "adversarial", i, history, "greedy"
+        mean = float(np.mean(history))
+        if mean < thresholds.t1_avg:
+            return "benign", i, history, "average"
+        if mean > thresholds.t2_avg:
+            return "adversarial", i, history, "average"
+    mean = float(np.mean(history))
+    label = "adversarial" if mean > 0.5 * (thresholds.t1_avg + thresholds.t2_avg) else "benign"
+    return label, max_runs, history, "cap"
+
+
+def test_running_mean_is_np_mean_bitwise():
+    rng = np.random.default_rng(8)
+    for n in range(1, 11):
+        for _ in range(2000):
+            # magnitudes spread over many binades, so rounding order shows
+            history = (rng.uniform(0, 2, n) * 10.0 ** rng.integers(-12, 1, n)).tolist()
+            total = 0.0
+            for d in history:
+                total += d
+            assert _mean(history, total) == float(np.mean(history))
+
+
+def test_decide_matches_np_mean_decide_at_exact_ties():
+    rng = np.random.default_rng(9)
+    for _ in range(3000):
+        n = int(rng.integers(1, 11))
+        history = (rng.uniform(0, 2, n) * 10.0 ** rng.integers(-3, 1, n)).tolist()
+        # thresholds placed exactly on prefix means, where one ulp flips a branch
+        means = sorted(float(np.mean(history[:k])) for k in rng.integers(1, n + 1, size=2))
+        greedy = sorted(rng.uniform(0, 2, 2))
+        th = DetectionThresholds(min(greedy[0], means[0]), max(greedy[1], means[1]), means[0], means[1])
+        assert run(history, thresholds=th, max_runs=n) == np_mean_decide(history, th, n)
+
+
+def random_detector_model(seed: int, first_conv_noisy: bool):
+    arch = conv_pool_arch((4, 6), 3, class_count=4)
+    arch[0].noise_eligible = first_conv_noisy
+    model = init_model(arch, (1, 18, 18), 4, seed)
+    return model, profile_thresholds(model)
+
+
+@pytest.mark.parametrize("first_conv_noisy,start", [(False, 3), (True, 0)])
+def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_noisy, start):
+    model, table = random_detector_model(21, first_conv_noisy)
+    rng = np.random.default_rng(22)
+    for trial in range(30):
+        x = rng.uniform(0, 1, (1, 18, 18))
+        reference = model.forward_trace(x, cache=False)
+        prefix = [a.copy() for a in reference.inputs]
+        plan = draw_plan(model, table, float(rng.uniform(0, 0.95)), int(rng.integers(2**63)))
+        assert min(plan.masks) == start
+        from_prefix = noisy_forward(model, plan, reference.inputs[start], start)
+        full = model.forward_trace(x, masks=plan.masks)
+        assert from_prefix.probs.tobytes() == full.probs.tobytes()
+        assert from_prefix.logits.tobytes() == full.logits.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(reference.inputs, prefix))
+        # the detector's own passes: the same distances as full masked forwards
+        ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig(), trial)
+        for i in (1, 2, 3):
+            expected = l1_distance(model.forward_trace(x, masks=plan_of(i).masks).probs, ref)
+            assert distance(i) == expected
+    with pytest.raises(ValueError, match="would skip masked layer"):
+        noisy_forward(model, plan, full.inputs[start + 1], start + 1)
+
+
+def test_calibration_distances_keep_the_round_major_order():
+    model, table = random_detector_model(23, False)
+    inputs = list(np.random.default_rng(24).uniform(0, 1, (7, 1, 18, 18)))
+    got = calibration_distances(model, table, inputs, NoiseConfig(), 5, passes=3)
+    rounds = [first_pass_distances(model, table, inputs, NoiseConfig(), derive_seed(5, "round", r)) for r in range(3)]
+    assert got.tobytes() == np.concatenate(rounds).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,19 @@ def test_maxpool_gradient_goes_to_the_first_maximum():
     np.testing.assert_array_equal(dx, [[[5.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]]])
 
 
+@pytest.mark.parametrize("values", [(-0.0, 0.0), (-0.0, 0.0, -1.0), (1.0, 2.0, -0.0, 0.0, 2.0), (np.inf, -np.inf, 3.0)])
+def test_cacheless_maxpool_is_the_first_maximum_bytewise(values):
+    # every window drawn from few values, so most hold ties, and +0 and -0 compare equal
+    rng = substream(5, "ties", len(values))
+    for shape in [(1, 2, 2), (3, 4, 6), (8, 16, 16), (2, 18, 2)]:
+        for _ in range(20):
+            x = np.asarray(values)[rng.integers(0, len(values), size=shape)]
+            cached = nn.maxpool2d_forward(x, cache={})
+            cacheless = nn.maxpool2d_forward(x)
+            assert cacheless.shape == cached.shape
+            assert cacheless.tobytes() == cached.tobytes()
+
+
 def test_maxpool_rejects_odd_extent():
     with pytest.raises(nn.ShapeError, match="even extents"):
         nn.maxpool2d_forward(np.ones((1, 3, 4)))
@@ -409,3 +422,33 @@ def test_forward_is_deterministic():
     b = model.predict(x)
     np.testing.assert_array_equal(a.probs, b.probs)
     np.testing.assert_array_equal(a.logits, b.logits)
+
+
+def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
+    model = tiny_model(9)
+    x = substream(14, "x").uniform(0, 1, (1, 8, 8))
+    full = model.forward_trace(x)
+    cacheless = model.forward_trace(x, cache=False)
+    assert cacheless.caches is None
+    assert cacheless.probs.tobytes() == full.probs.tobytes()
+    assert cacheless.logits.tobytes() == full.logits.tobytes()
+    for start in range(1, len(model.layers)):
+        suffix = model.forward_trace(full.inputs[start], start=start, cache=False)
+        assert suffix.start == start and len(suffix.inputs) == len(model.layers) - start
+        assert suffix.probs.tobytes() == full.probs.tobytes()
+    with pytest.raises(nn.ShapeError, match="layer 3 input"):
+        model.forward_trace(x, start=3)
+    with pytest.raises(ValueError, match="start layer"):
+        model.forward_trace(x, start=len(model.layers))
+
+
+def test_backward_refuses_cacheless_and_mid_network_traces():
+    model = tiny_model(10)
+    x = substream(15, "x").uniform(0, 1, (1, 8, 8))
+    full = model.forward_trace(x)
+    dlogits = np.ones(4)
+    with pytest.raises(ValueError, match="backward needs"):
+        model.forward_trace(x, cache=False).backward(dlogits)
+    with pytest.raises(ValueError, match="backward needs"):
+        model.forward_trace(full.inputs[3], start=3).backward(dlogits)
+    full.backward(dlogits)
