@@ -52,7 +52,6 @@ from .attacks import (
 from .accelsim import (
     AcceleratorConfig,
     CycleReport,
-    Schedule,
     group_filters,
     mask_stream_trace,
     simulate_layer,
@@ -99,7 +98,6 @@ __all__ = [
     "select_target",
     "AcceleratorConfig",
     "CycleReport",
-    "Schedule",
     "group_filters",
     "mask_stream_trace",
     "simulate_layer",

@@ -1,7 +1,8 @@
 """Cycle-approximate model of the dynamically sparsified accelerator.
 
-Filters that share an input stream are grouped by active-weight count
-(sorted descending, chunked) so lanes in a group finish together. Per
+The model reads only a plan's masks. simulate_layer groups the filters
+that share an input stream by active-weight count (group_filters: sorted
+descending, chunked) so lanes in a group finish together. Per
 output position a group costs max-nnz cycles plus any look-ahead stalls;
 a lane with fewer active weights than its group's densest filter sits
 idle for the difference. The dense baseline pays the full weight count
@@ -38,19 +39,8 @@ class AcceleratorConfig:
     lookahead: int = 4
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, int) and v >= 1 for v in (self.group_size, self.lookahead)):
+        if not all(type(v) is int and v >= 1 for v in (self.group_size, self.lookahead)):
             raise ValueError(f"need integer group_size, lookahead >= 1; got ({self.group_size!r}, {self.lookahead!r})")
-
-
-@dataclass
-class Schedule:
-    """Ordered filter groups for one layer; each entry is (filter_id, nnz)."""
-
-    layer_idx: int
-    groups: list[list[tuple[int, int]]]
-
-    def filter_ids(self) -> list[int]:
-        return [fid for g in self.groups for fid, _ in g]
 
 
 @dataclass
@@ -108,21 +98,23 @@ class CycleReport:
         }
 
 
-def group_filters(plan: SparsificationPlan, layer_idx: int, cfg: AcceleratorConfig) -> Schedule:
-    """Chunk filters into groups of similar active-weight count.
+def group_filters(
+    plan: SparsificationPlan, layer_idx: int, cfg: AcceleratorConfig
+) -> list[list[tuple[int, int]]]:
+    """Chunk a layer's filters into groups of similar active-weight count.
 
     Sort by nnz descending (ties by filter id for determinism) and cut
     into consecutive groups of group_size; the last group may be smaller.
+    Each group lists its filters as (filter_id, nnz), in lane order.
     """
     if layer_idx not in plan.masks:
         raise ScheduleError(f"plan has no masks for layer {layer_idx}")
     nnz = plan.nnz(layer_idx)
     order = sorted(range(nnz.size), key=lambda f: (-int(nnz[f]), f))
-    groups = [
+    return [
         [(f, int(nnz[f])) for f in order[i : i + cfg.group_size]]
         for i in range(0, len(order), cfg.group_size)
     ]
-    return Schedule(layer_idx=layer_idx, groups=groups)
 
 
 def mask_stream_trace(
@@ -182,32 +174,17 @@ def _group_cost(group: list[tuple[int, int]], masks: np.ndarray, lookahead: int)
 
 
 def simulate_layer(
-    model: Model,
-    layer_idx: int,
-    plan: SparsificationPlan,
-    schedule: Schedule,
-    cfg: AcceleratorConfig,
+    model: Model, layer_idx: int, plan: SparsificationPlan, cfg: AcceleratorConfig
 ) -> LayerCycleReport:
-    """Exact cycle counts for one sparsified layer under the cost model."""
+    """Exact cycle counts for one sparsified layer, grouped by group_filters, under the cost model."""
+    groups = group_filters(plan, layer_idx, cfg)
     masks = plan.masks[layer_idx]
-    nnz = plan.nnz(layer_idx)
-    seen: list[int] = []
-    for group in schedule.groups:
-        for fid, n in group:
-            if n != int(nnz[fid]):
-                raise ScheduleError(
-                    f"layer {layer_idx} filter {fid}: schedule says nnz={n}, mask says {int(nnz[fid])}"
-                )
-            seen.append(fid)
-    if sorted(seen) != list(range(masks.shape[0])):
-        raise ScheduleError(f"schedule must cover each of layer {layer_idx}'s filters exactly once")
-
     weights_per_filter = masks.shape[1]
     positions = model.output_positions(layer_idx)
     cycles_per_pos = 0
     idle_per_pos = 0
     stalls_per_pos = 0
-    for group in schedule.groups:
+    for group in groups:
         c, i, s = _group_cost(group, masks, cfg.lookahead)
         cycles_per_pos += c
         idle_per_pos += i
@@ -216,7 +193,7 @@ def simulate_layer(
         layer_idx=layer_idx,
         kind=model.layers[layer_idx].kind,
         eligible=True,
-        dense_cycles=positions * len(schedule.groups) * weights_per_filter,
+        dense_cycles=positions * len(groups) * weights_per_filter,
         sparse_cycles=positions * cycles_per_pos,
         idle_mac_slots=positions * idle_per_pos,
         stall_cycles=positions * stalls_per_pos,
@@ -247,8 +224,7 @@ def simulate_model(model: Model, plan: SparsificationPlan, cfg: AcceleratorConfi
     report = CycleReport()
     for idx in model.parametric_layers():
         if model.layers[idx].noise_eligible and idx in plan.masks:
-            schedule = group_filters(plan, idx, cfg)
-            layer_report = simulate_layer(model, idx, plan, schedule, cfg)
+            layer_report = simulate_layer(model, idx, plan, cfg)
         else:
             layer_report = _dense_layer_report(model, idx, cfg)
         report.per_layer.append(layer_report)

@@ -48,7 +48,7 @@ class AttackConfig:
             raise AttackError(f"unknown attack kind {self.kind!r}")
         if self.target_mode not in ("next", "least_likely"):
             raise AttackError(f"unknown target mode {self.target_mode!r}")
-        if not (isinstance(self.steps, int) and self.steps >= 1 and self.step_size > 0):
+        if not (type(self.steps) is int and self.steps >= 1 and self.step_size > 0):
             raise AttackError(f"need integer steps >= 1 and step_size > 0; got ({self.steps!r}, {self.step_size!r})")
         if not 0.0 <= self.eps < 1.0:
             raise AttackError(f"eps must be in [0, 1), got {self.eps}")
@@ -128,12 +128,13 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
 
 def _targeted_descent(
     model: Model, x0: np.ndarray, target: int, cfg: AttackConfig, target_probs: np.ndarray | None
-):
-    """Shared gradient-descent loop for cw_l2 and defense_aware.
+) -> np.ndarray:
+    """Shared gradient-descent loop for cw_l2 and defense_aware; returns the chosen input.
 
     Tracks the best full-margin iterate (target logit clear of all others
     by k) by the attack's own distance objective; falls back to the best
-    argmax-only success when the margin is never reached.
+    argmax-only success when the margin is never reached, and to the last
+    iterate when neither occurs.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     # The L1 penalty competes with a squared-distance term that scales with
@@ -146,8 +147,8 @@ def _targeted_descent(
     loss = CompositeLoss(target=target, k=cfg.k, c=cfg.c, beta=beta, target_probs=p_ref, x0=x0)
 
     w = _to_tanh_space(x0)
-    best: dict[str, object] | None = None
-    fallback: dict[str, object] | None = None
+    best: tuple[float, np.ndarray] | None = None  # (score, x)
+    fallback: tuple[float, np.ndarray] | None = None
 
     def consider(x_adv: np.ndarray, logits: np.ndarray, probs: np.ndarray) -> None:
         nonlocal best, fallback
@@ -157,27 +158,25 @@ def _targeted_descent(
         arg_ok = int(np.argmax(probs)) == target
         dist = l2_distortion(x_adv, x0)
         score = beta * float(np.abs(probs - p_ref).sum()) + dist * dist
-        entry = {"x": x_adv.copy(), "score": score, "dist": dist, "probs": probs.copy()}
-        if margin_ok and (best is None or score < best["score"]):
-            best = entry
-        elif arg_ok and (fallback is None or score < fallback["score"]):
-            fallback = entry
+        if margin_ok and (best is None or score < best[0]):
+            best = (score, x_adv)
+        elif arg_ok and (fallback is None or score < fallback[0]):
+            fallback = (score, x_adv)
 
     for _ in range(cfg.steps):
-        x_adv = _from_tanh_space(w)
+        tanh_w = np.tanh(w)
+        x_adv = (tanh_w + 1.0) / 2.0
         trace, _, dx, _ = loss_gradients(model, x_adv, loss)
         consider(x_adv, trace.logits, trace.probs)
         # chain through x = (tanh(w) + 1) / 2
-        dw = dx * (1.0 - np.tanh(w) ** 2) / 2.0
+        dw = dx * (1.0 - tanh_w**2) / 2.0
         w = w - cfg.step_size * dw
     x_adv = _from_tanh_space(w)
     trace = model.forward_trace(x_adv)
     consider(x_adv, trace.logits, trace.probs)
 
     chosen = best if best is not None else fallback
-    if chosen is None:
-        chosen = {"x": x_adv, "probs": trace.probs.copy()}
-    return chosen
+    return chosen[1] if chosen is not None else x_adv
 
 
 def cw_l2(model: Model, x: np.ndarray, target: int, cfg: AttackConfig) -> AdversarialSample:
@@ -195,8 +194,7 @@ def cw_l2(model: Model, x: np.ndarray, target: int, cfg: AttackConfig) -> Advers
             kind=cfg.kind,
             source_class=src,
         )
-    chosen = _targeted_descent(model, x, target, cfg, target_probs=None)
-    perturbed = np.asarray(chosen["x"])
+    perturbed = _targeted_descent(model, x, target, cfg, target_probs=None)
     return AdversarialSample(
         original=x.copy(),
         perturbed=perturbed,
@@ -223,8 +221,7 @@ def defense_aware(
     src = ref.top_class
     if src == target:
         raise AttackError("exemplar is classified as the input's own class; pick another target")
-    chosen = _targeted_descent(model, x, target, cfg, target_probs=exemplar_out.probs)
-    perturbed = np.asarray(chosen["x"])
+    perturbed = _targeted_descent(model, x, target, cfg, target_probs=exemplar_out.probs)
     final_probs = model.predict(perturbed)
     return AdversarialSample(
         original=x.copy(),

@@ -14,11 +14,12 @@ P_ref drives a small state machine:
 Benign outputs barely move under the noise, adversarial ones scatter, so
 most inputs resolve on the first pass. Thresholds come from benign-only
 quantile calibration; adversarial data is never needed to deploy.
+No pass here runs a backward, so none fills layer caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -71,8 +72,8 @@ class DetectionThresholds:
 class DetectorConfig:
     thresholds: DetectionThresholds
     max_runs: int
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    base_seed: int = 0
+    noise: NoiseConfig
+    base_seed: int
 
     def __post_init__(self) -> None:
         if self.max_runs < 1:
@@ -140,17 +141,18 @@ def input_seed(base_seed: int, tag: str, index: int) -> int:
     return derive_seed(base_seed, tag, index)
 
 
-def _passes_of(
+def noisy_passes(
     model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig
 ) -> tuple[ProbVector, Callable[[int, int], SparsificationPlan], Callable[[int, int], float]]:
     """The reference output of x, and the plan and L1 distance of its noisy pass (base_seed, i).
 
-    The reference pass and the noise budget are computed once. Each noisy
-    pass starts at its plan's first masked layer, from the reference
-    trace's input to that layer; the layers before it would recompute that
-    input bit for bit. The shared inner inputs are made read-only.
+    The reference pass and the noise budget are computed once for every
+    pass; pass seeds derive from (base_seed, i) alone. Each noisy pass
+    starts at its plan's first masked layer, from the reference trace's
+    (read-only) input to it, which the layers before would recompute bit
+    for bit.
     """
-    trace = model.forward_trace(x, cache=False)
+    trace = model.forward_trace(x)
     for shared in trace.inputs[1:-1]:  # inputs[0] is the caller's x, inputs[-1] the logits
         shared.flags.writeable = False
     ref = trace.output
@@ -167,26 +169,12 @@ def _passes_of(
     return ref, plan, distance
 
 
-def noisy_passes(
-    model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
-) -> tuple[ProbVector, Callable[[int], SparsificationPlan], Callable[[int], float]]:
-    """The reference output of x, the plan of its noisy pass i and that pass's L1 distance.
-
-    The reference output and the noise budget are computed once and reused
-    for every pass, and every pass starts from the reference's prefix (see
-    _passes_of). Pass seeds derive from (base_seed, pass index), so
-    speculative or parallel execution of later passes cannot change them.
-    """
-    ref, plan, distance = _passes_of(model, table, x, noise)
-    return ref, lambda i: plan(base_seed, i), lambda i: distance(base_seed, i)
-
-
 def stochastic_inference(
     model: Model, table: ThresholdTable, x: np.ndarray, cfg: DetectorConfig
 ) -> DetectionVerdict:
     """Full detection for one input."""
-    ref, _, pass_distance = noisy_passes(model, table, x, cfg.noise, cfg.base_seed)
-    label, runs, history, reason = decide(pass_distance, cfg.thresholds, cfg.max_runs)
+    ref, _, distance = noisy_passes(model, table, x, cfg.noise)
+    label, runs, history, reason = decide(lambda i: distance(cfg.base_seed, i), cfg.thresholds, cfg.max_runs)
     return DetectionVerdict(
         label=label,
         runs_used=runs,
@@ -215,26 +203,19 @@ def detect_set(
 # calibration
 
 
-def first_pass_distance(
-    model: Model, table: ThresholdTable, x: np.ndarray, noise: NoiseConfig, base_seed: int
-) -> float:
-    """The d_1 a detector with this base_seed would observe for x."""
-    return noisy_passes(model, table, x, noise, base_seed)[2](1)
-
-
 def first_pass_distances(
     model: Model,
     table: ThresholdTable,
     inputs: Iterable[np.ndarray],
     noise: NoiseConfig,
-    base_seed: int,
+    base_seeds: list[int],
 ) -> np.ndarray:
-    return np.array(
-        [
-            first_pass_distance(model, table, x, noise, input_seed(base_seed, "input", i))
-            for i, x in enumerate(inputs)
-        ]
-    )
+    """One row per base seed of the d_1 that detect_set(..., tag="input") observes; one reference pass per input."""
+    columns = []
+    for i, x in enumerate(inputs):
+        distance = noisy_passes(model, table, x, noise)[2]
+        columns.append([distance(input_seed(seed, "input", i), 1) for seed in base_seeds])
+    return np.array(columns, dtype=np.float64).reshape(len(columns), len(base_seeds)).T
 
 
 def calibration_distances(
@@ -245,7 +226,7 @@ def calibration_distances(
     base_seed: int,
     passes: int,
 ) -> np.ndarray:
-    """Several independent first-pass distances per calibration input.
+    """Several independent first-pass distances per calibration input, round-major.
 
     Benign distances are heavy-tailed (rare large spikes over a tiny bulk),
     so the upper quantiles of a single-draw sample move a lot from seed to
@@ -255,14 +236,7 @@ def calibration_distances(
     if passes < 1:
         raise ValueError(f"passes must be at least 1, got {passes}")
     round_seeds = [derive_seed(base_seed, "round", r) for r in range(passes)]
-    # round-major, as one first_pass_distances call per round would order them,
-    # with one reference pass per input
-    out = np.empty((passes, len(inputs)))
-    for i, x in enumerate(inputs):
-        distance = _passes_of(model, table, x, noise)[2]
-        for r, seed in enumerate(round_seeds):
-            out[r, i] = distance(input_seed(seed, "input", i), 1)
-    return out.ravel()
+    return first_pass_distances(model, table, inputs, noise, round_seeds).ravel()
 
 
 def calibrate(benign_l1_samples: np.ndarray, target_fpr: float) -> DetectionThresholds:

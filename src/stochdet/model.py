@@ -5,8 +5,10 @@ parametric layers. Inference and gradients are composed from the layer
 functions in :mod:`stochdet.nn`. The reference pass never applies
 masks; noisy passes supply per-layer weight masks or activation noise
 factors through ``forward_trace``. A noisy pass starts from the reference
-trace's input to its first masked layer (``forward_trace(start=...)``),
-and passes that need no backward skip the layer caches (``cache=False``).
+trace's input to its first masked layer (``forward_trace(start=...)``).
+Reference and noisy passes are cache-less; only the mask-free forward
+of a backward (``loss_gradients``: training and attack gradients) fills
+the layer caches (``cache=True``).
 
 The container format is a JSON manifest (architecture, shapes, byte
 offsets) followed by a little-endian float64 weight blob.
@@ -101,9 +103,9 @@ class Model:
         act_factors: dict[int, np.ndarray] | None = None,
         *,
         start: int = 0,
-        cache: bool = True,
+        cache: bool = False,
     ) -> "Trace":
-        """Run the network from layer `start`, keeping per-layer inputs and caches for backward.
+        """Run the network from layer `start`, keeping per-layer inputs.
 
         x is the input to layer `start`: the model input when start is 0, or
         a trace's input to that layer, for a pass that shares the layers
@@ -112,11 +114,13 @@ class Model:
         act_factors: optional multiplicative factors applied to the outputs
         of the layers they name (relu layers, in the activation-noise study
         mode).
-        cache=False skips what only backward needs (predict and noisy
-        passes); its outputs are the same bytes.
+        cache=True also keeps what backward needs, for a mask- and
+        noise-free forward from the model input; outputs are the same bytes.
         """
         if not 0 <= start < len(self.layers):
             raise ValueError(f"start layer {start} outside the model's {len(self.layers)} layers")
+        if cache and (masks or act_factors or start):
+            raise ValueError("a cached forward must start at layer 0 without masks or act_factors")
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.layer_input_shapes[start]:
             what = "model input" if start == 0 else f"layer {start} input"
@@ -135,11 +139,11 @@ class Model:
             if cache:
                 caches.append(layer_cache)
         # softmax is always the last layer: out is its ProbVector and its input the logits
-        return Trace(model=self, inputs=inputs, caches=caches, masks=masks, output=out, start=start)
+        return Trace(model=self, inputs=inputs, caches=caches, output=out)
 
     def predict(self, x: np.ndarray) -> nn.ProbVector:
         """Mask-free reference pass; repeated calls agree bitwise."""
-        return self.forward_trace(x, cache=False).output
+        return self.forward_trace(x).output
 
     # ---- structure helpers ------------------------------------------
 
@@ -187,18 +191,16 @@ class Model:
 
 @dataclass
 class Trace:
-    """The layer inputs of one forward from layer `start`, and its output.
+    """The layer inputs of one forward, and its output.
 
-    inputs[i] is the input to layer start + i. caches is None for a
-    cache-less forward.
+    inputs[i] is the input to the i-th layer the forward ran, counted from
+    its start layer. caches is None for a cache-less forward.
     """
 
     model: Model
     inputs: list[np.ndarray]
     caches: list[dict] | None
-    masks: dict[int, np.ndarray]
     output: nn.ProbVector
-    start: int = 0
 
     @property
     def probs(self) -> np.ndarray:
@@ -212,11 +214,11 @@ class Trace:
         """Propagate a gradient seeded at the logits back to the input.
 
         Returns (dx, param_grads), param_grads mapping each parametric
-        layer index to its {"w": dw, "b": db}. Needs a cached forward of
-        the whole network.
+        layer index to its {"w": dw, "b": db}. Needs a cached forward
+        (forward_trace(cache=True)).
         """
-        if self.caches is None or self.start != 0:
-            raise ValueError("backward needs a forward_trace with caches, started at layer 0")
+        if self.caches is None:
+            raise ValueError("backward needs a forward_trace with caches")
         grads: dict[int, dict[str, np.ndarray]] = {}
         d = np.asarray(dlogits, dtype=np.float64)
         m = self.model
@@ -224,16 +226,14 @@ class Trace:
         for idx in range(len(m.layers) - 2, -1, -1):
             spec = m.layers[idx]
             d = d.reshape(m.layer_input_shapes[idx + 1])  # this layer's output shape
-            d, g = _BACKWARD[spec.kind](
-                spec, m.params.get(idx), d, self.inputs[idx], self.masks.get(idx), self.caches[idx]
-            )
+            d, g = _BACKWARD[spec.kind](spec, m.params.get(idx), d, self.inputs[idx], self.caches[idx])
             if g is not None:
                 grads[idx] = g
         return d, grads
 
 
 # Each layer kind's forward, (spec, params, x, mask, cache) -> y, and backward,
-# (spec, params, dy, x, mask, cache) -> (dx, {"w": dw, "b": db} or None). Entries look
+# (spec, params, dy, x, cache) -> (dx, {"w": dw, "b": db} or None). Entries look
 # `nn.<fn>` up when called, so a patched module attribute (a tracer's wrapper) is what runs.
 _FORWARD = {
     "conv2d": lambda s, p, x, m, c: nn.conv2d_forward(x, p["w"], p["b"], s.stride, mask=m, cache=c),
@@ -243,10 +243,10 @@ _FORWARD = {
     "softmax": lambda s, p, x, m, c: nn.softmax(x),
 }
 _BACKWARD = {
-    "conv2d": lambda s, p, d, x, m, c: nn.conv2d_backward(d, x, p["w"], s.stride, mask=m, cache=c),
-    "relu": lambda s, p, d, x, m, c: (nn.relu_backward(d, x), None),
-    "maxpool2d": lambda s, p, d, x, m, c: (nn.maxpool2d_backward(d, x, cache=c), None),
-    "dense": lambda s, p, d, x, m, c: nn.dense_backward(d, x, p["w"], mask=m),
+    "conv2d": lambda s, p, d, x, c: nn.conv2d_backward(d, x, p["w"], s.stride, cache=c),
+    "relu": lambda s, p, d, x, c: (nn.relu_backward(d, x), None),
+    "maxpool2d": lambda s, p, d, x, c: (nn.maxpool2d_backward(d, x, cache=c), None),
+    "dense": lambda s, p, d, x, c: nn.dense_backward(d, x, p["w"]),
 }
 
 
@@ -255,7 +255,7 @@ def loss_gradients(model: Model, x: np.ndarray, loss):
 
     dx is d(loss)/d(input), the loss's direct input term included.
     """
-    trace = model.forward_trace(x)
+    trace = model.forward_trace(x, cache=True)
     value, dlogits, dx_direct = loss.value_and_grads(trace.logits, trace.probs, x)
     dx, param_grads = trace.backward(dlogits)
     if dx_direct is not None:
@@ -348,7 +348,7 @@ class TrainConfig:
     weight_decay: float = 1e-4  # L2 on weights only; biases stay unregularized
 
     def __post_init__(self) -> None:
-        counts_ok = all(isinstance(v, int) for v in (self.epochs, self.seed, self.batch_size))
+        counts_ok = all(type(v) is int for v in (self.epochs, self.seed, self.batch_size))
         if not (counts_ok and self.epochs >= 0 and self.batch_size >= 1 and self.lr > 0 and self.weight_decay >= 0):
             raise ValueError(
                 "need integer epochs >= 0, integer seed, integer batch_size >= 1, lr > 0 and weight_decay >= 0; got "

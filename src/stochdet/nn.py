@@ -11,6 +11,8 @@ Weight masks: ``conv2d_forward`` and ``dense_forward`` accept an optional
 0/1 mask over the weight tensor. Masking is implemented by multiplying
 the weights by the mask before use, so a masked pass is bitwise equal to
 a dense pass over a copy of the model whose masked weights are zero.
+Masked passes never run a backward, so the backward functions take no
+mask; only a cached forward (training and attack gradients) feeds them.
 """
 
 from __future__ import annotations
@@ -108,14 +110,9 @@ def conv2d_backward(
     x: np.ndarray,
     w: np.ndarray,
     stride: int,
-    mask: np.ndarray | None,
     cache: dict,
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients (dx, {"w": dw, "b": db}) of the conv2d_forward call that filled cache.
-
-    dx is computed against the effective (masked) weights; dw is the raw
-    gradient and is only meaningful for mask-free (training) passes.
-    """
+    """Gradients (dx, {"w": dw, "b": db}) of the mask-free conv2d_forward call that filled cache."""
     dy = _as_f64(dy)
     c_out, c_in, kh, kw = w.shape
     h_out, w_out = dy.shape[1], dy.shape[2]
@@ -123,8 +120,7 @@ def conv2d_backward(
     dy_flat = dy.reshape(c_out, -1)
     dw = (dy_flat @ cols.T).reshape(w.shape)
     db = dy_flat.sum(axis=1)
-    w_eff = _apply_mask(_as_f64(w), mask)
-    dcols = w_eff.reshape(c_out, -1).T @ dy_flat
+    dcols = _as_f64(w).reshape(c_out, -1).T @ dy_flat
     dx = _col2im(dcols, x.shape, kh, kw, stride, h_out, w_out)
     return dx, {"w": dw, "b": db}
 
@@ -214,14 +210,13 @@ def dense_forward(
     return _apply_mask(w, mask) @ x + b
 
 
-def dense_backward(
-    dy: np.ndarray, x: np.ndarray, w: np.ndarray, mask: np.ndarray | None = None
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Gradients (dx, {"w": dw, "b": db}) of a mask-free dense_forward."""
     dy = _as_f64(dy)
     x_flat = _as_f64(x).ravel()
     dw = np.outer(dy, x_flat)
     db = dy.copy()
-    dx = _apply_mask(_as_f64(w), mask).T @ dy
+    dx = _as_f64(w).T @ dy
     return dx.reshape(np.shape(x)), {"w": dw, "b": db}
 
 

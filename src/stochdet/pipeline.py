@@ -84,7 +84,7 @@ class DetectorSettings:
     calibration_passes: int = 24
 
     def __post_init__(self) -> None:
-        integers = all(isinstance(v, int) for v in (self.max_runs, self.calibration_passes))
+        integers = all(_is_int(v) for v in (self.max_runs, self.calibration_passes))
         if not (integers and self.max_runs >= 1 and self.calibration_passes >= 1 and 0.0 < self.target_fpr < 1.0):
             raise ValueError(
                 "need integer max_runs >= 1, integer calibration_passes >= 1 and 0 < target_fpr < 1; got "
@@ -640,8 +640,8 @@ def simulate_for_inputs(
         raise ValueError("simulate needs at least one input")
     reports: list[CycleReport] = []
     for i, x in enumerate(inputs):
-        plan = noisy_passes(model, table, x, noise, input_seed(base_seed, "benign", i))[1]
-        reports.append(simulate_model(model, plan(1), acfg))
+        plan = noisy_passes(model, table, x, noise)[1]
+        reports.append(simulate_model(model, plan(input_seed(base_seed, "benign", i), 1), acfg))
     mean_speedup = float(np.mean([r.speedup for r in reports]))
     mean_eligible = float(np.mean([r.eligible_speedup() for r in reports]))
     return {

@@ -67,15 +67,11 @@ def noise_budget(conf: float, cfg: NoiseConfig) -> float:
 
 @dataclass
 class SparsificationPlan:
-    """Per-filter rates, thresholds, and active-weight masks for one pass."""
+    """The active-weight masks of one noisy pass, keyed by layer index."""
 
     pass_seed: int
     max_rate: float
     model_fingerprint: str
-    # all keyed by layer index, one row per filter
-    assigned_rates: dict[int, np.ndarray] = field(default_factory=dict)
-    snapped_rates: dict[int, np.ndarray] = field(default_factory=dict)
-    taus: dict[int, np.ndarray] = field(default_factory=dict)
     masks: dict[int, np.ndarray] = field(default_factory=dict)  # (n_filters, wpf) bool
 
     def nnz(self, layer_idx: int) -> np.ndarray:
@@ -110,13 +106,8 @@ def draw_plan(
         n_filters = filters.shape[0]
         rates = substream(pass_seed, "rates", idx).uniform(0.0, max_rate, size=n_filters)
         grid_idx = np.floor(rates * RATE_GRID_STEPS).astype(int)
-        snapped = table.rate_grid[grid_idx]
         taus = table.thresholds[idx][np.arange(n_filters), grid_idx]
-        masks = np.abs(filters) >= taus[:, None]
-        plan.assigned_rates[idx] = rates
-        plan.snapped_rates[idx] = snapped
-        plan.taus[idx] = taus
-        plan.masks[idx] = masks
+        plan.masks[idx] = np.abs(filters) >= taus[:, None]
     return plan
 
 
@@ -131,7 +122,7 @@ def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray, start: 
         raise PlanMismatch("plan was drawn for a different model")
     if start > min(plan.masks, default=start):
         raise ValueError(f"a pass starting at layer {start} would skip masked layer {min(plan.masks)}")
-    return model.forward_trace(x, masks=plan.masks, start=start, cache=False).output
+    return model.forward_trace(x, masks=plan.masks, start=start).output
 
 
 def noisy_activation_forward(
@@ -147,4 +138,4 @@ def noisy_activation_forward(
                 shape = model.layer_input_shapes[idx]  # relu preserves shape
                 delta = substream(pass_seed, "act", idx).uniform(-level, level, size=shape)
                 factors[idx] = 1.0 + delta
-    return model.forward_trace(x, act_factors=factors, cache=False).output
+    return model.forward_trace(x, act_factors=factors).output

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from stochdet.accelsim import (
     AcceleratorConfig,
-    Schedule,
-    ScheduleError,
     group_filters,
     mask_stream_trace,
     simulate_layer,
@@ -33,27 +31,26 @@ def test_group_filters_sorts_descending_and_chunks(fixture_model, fixture_table)
     plan = draw_plan(fixture_model, fixture_table, 0.7, pass_seed=derive_seed(1, "g"))
     layer = next(iter(plan.masks))
     cfg = AcceleratorConfig(group_size=4)
-    schedule = group_filters(plan, layer, cfg)
+    groups = group_filters(plan, layer, cfg)
     nnz = plan.nnz(layer)
-    flat = [n for g in schedule.groups for _, n in g]
+    flat = [n for g in groups for _, n in g]
     assert flat == sorted(nnz.tolist(), reverse=True)
-    assert all(len(g) <= 4 for g in schedule.groups)
-    assert sorted(schedule.filter_ids()) == list(range(nnz.size))
+    assert all(len(g) <= 4 for g in groups)
+    assert sorted(fid for g in groups for fid, _ in g) == list(range(nnz.size))
 
 
 def test_group_hand_example_2_3_4_5():
     # nnz [2,3,4,5] with group size 2 -> [5,4], [3,2]
     masks = np.array(prefix_masks([2, 3, 4, 5], 6))
     plan = _FakePlan({0: masks})
-    schedule = group_filters(plan, 0, AcceleratorConfig(group_size=2))
-    assert [[n for _, n in g] for g in schedule.groups] == [[5, 4], [3, 2]]
+    groups = group_filters(plan, 0, AcceleratorConfig(group_size=2))
+    assert [[n for _, n in g] for g in groups] == [[5, 4], [3, 2]]
 
 
 def test_single_group_when_group_size_large():
     masks = np.array(prefix_masks([1, 2, 3], 4))
     plan = _FakePlan({0: masks})
-    schedule = group_filters(plan, 0, AcceleratorConfig(group_size=16))
-    assert len(schedule.groups) == 1
+    assert len(group_filters(plan, 0, AcceleratorConfig(group_size=16))) == 1
 
 
 class _FakePlan:
@@ -155,8 +152,7 @@ def _layer_fixture(fixture_model, fixture_table, max_rate=0.7, seed_label="sim")
 def test_dense_plan_simulation_degenerate(fixture_model, fixture_table):
     plan, layer = _layer_fixture(fixture_model, fixture_table, max_rate=0.0)
     cfg = AcceleratorConfig()
-    schedule = group_filters(plan, layer, cfg)
-    report = simulate_layer(fixture_model, layer, plan, schedule, cfg)
+    report = simulate_layer(fixture_model, layer, plan, cfg)
     assert report.sparse_cycles == report.dense_cycles
     assert report.idle_mac_slots == 0
     assert report.stall_cycles == 0
@@ -193,8 +189,7 @@ def test_sorted_grouping_beats_adversarial_pairing():
     adversarial_cost = total_cycles([[3, 0], [2, 1]])
     assert sorted_cost == 8
     assert adversarial_cost == 9
-    schedule = group_filters(plan, 0, cfg)
-    assert total_cycles([[fid for fid, _ in g] for g in schedule.groups]) == 8
+    assert total_cycles([[fid for fid, _ in g] for g in group_filters(plan, 0, cfg)]) == 8
 
 
 def test_sorted_chunking_exhaustively_optimal_small():
@@ -220,26 +215,13 @@ def test_sorted_chunking_beats_random_chunkings():
         assert sorted_cost <= cost(rng.permutation(16))
 
 
-def test_simulate_layer_validates_schedule(fixture_model, fixture_table):
-    plan, layer = _layer_fixture(fixture_model, fixture_table)
-    cfg = AcceleratorConfig()
-    schedule = group_filters(plan, layer, cfg)
-    bad = Schedule(layer_idx=layer, groups=[[(fid, n + 1) for fid, n in g] for g in schedule.groups])
-    with pytest.raises(ScheduleError, match="nnz"):
-        simulate_layer(fixture_model, layer, plan, bad, cfg)
-    missing = Schedule(layer_idx=layer, groups=schedule.groups[1:])
-    with pytest.raises(ScheduleError, match="exactly once"):
-        simulate_layer(fixture_model, layer, plan, missing, cfg)
-
-
 def test_layer_work_conservation(fixture_model, fixture_table):
     plan, layer = _layer_fixture(fixture_model, fixture_table)
     cfg = AcceleratorConfig()
-    schedule = group_filters(plan, layer, cfg)
     # replay each group and count consumed weights against the plan
     masks = plan.masks[layer]
     consumed_total = 0
-    for g in schedule.groups:
+    for g in group_filters(plan, layer, cfg):
         lane_masks = [masks[fid] for fid, _ in g]
         _, _, trace = mask_stream_trace(lane_masks, cfg.lookahead)
         consumed_total += sum(1 for row in trace for v in row if v is not None)

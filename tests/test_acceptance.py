@@ -178,8 +178,8 @@ def benign_first_pass(fixture_model, fixture_table, benign_eval_inputs, fixture_
         fixture_table,
         benign_eval_inputs,
         fixture_noise,
-        derive_seed(FIXTURE_SEED, "acceptance-benign"),
-    )
+        [derive_seed(FIXTURE_SEED, "acceptance-benign")],
+    )[0]
 
 
 @pytest.fixture(scope="session")
@@ -190,8 +190,8 @@ def adv_first_pass_k2(fixture_model, fixture_table, cw_sets, fixture_noise):
         fixture_table,
         inputs,
         fixture_noise,
-        derive_seed(FIXTURE_SEED, "acceptance-adv"),
-    )
+        [derive_seed(FIXTURE_SEED, "acceptance-adv")],
+    )[0]
 
 
 def separation_statistic(adv_d: np.ndarray, ben_d: np.ndarray) -> float:
@@ -389,9 +389,8 @@ def test_criterion_8_simulator_correctness(fixture_model, fixture_table):
         plan = draw_plan(fixture_model, fixture_table, 0.7, pass_seed=derive_seed(1005, "w"))
         cfg = AcceleratorConfig()
         for layer in plan.masks:
-            schedule = group_filters(plan, layer, cfg)
             consumed = 0
-            for g in schedule.groups:
+            for g in group_filters(plan, layer, cfg):
                 _, _, trace = mask_stream_trace([plan.masks[layer][f] for f, _ in g], cfg.lookahead)
                 consumed += sum(1 for row in trace for v in row if v is not None)
             assert consumed == int(plan.nnz(layer).sum())

@@ -322,6 +322,13 @@ def test_partial_sections_keep_experiment_defaults():
         {"kernel": 9},
         {"image_size": 10},
         {"dataset": "idx:images.idx"},
+        {"train": {"epochs": True}},
+        {"train": {"seed": True}},
+        {"train": {"batch_size": True}},
+        {"detector": {"max_runs": True}},
+        {"detector": {"calibration_passes": True}},
+        {"accelerator": {"group_size": True}},
+        {"attacks": [{"kind": "cw_l2", "steps": True}]},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):

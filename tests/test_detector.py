@@ -1,5 +1,7 @@
 """L1 metric, detection state machine, calibration, and set evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from stochdet.detector import (
     calibration_distances,
     decide,
     detect_set,
-    first_pass_distance,
     first_pass_distances,
     l1_distance,
     noisy_passes,
@@ -213,7 +214,7 @@ def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_nois
     rng = np.random.default_rng(22)
     for trial in range(30):
         x = rng.uniform(0, 1, (1, 18, 18))
-        reference = model.forward_trace(x, cache=False)
+        reference = model.forward_trace(x)
         prefix = [a.copy() for a in reference.inputs]
         plan = draw_plan(model, table, float(rng.uniform(0, 0.95)), int(rng.integers(2**63)))
         assert min(plan.masks) == start
@@ -223,10 +224,10 @@ def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_nois
         assert from_prefix.logits.tobytes() == full.logits.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(reference.inputs, prefix))
         # the detector's own passes: the same distances as full masked forwards
-        ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig(), trial)
+        ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig())
         for i in (1, 2, 3):
-            expected = l1_distance(model.forward_trace(x, masks=plan_of(i).masks).probs, ref)
-            assert distance(i) == expected
+            expected = l1_distance(model.forward_trace(x, masks=plan_of(trial, i).masks).probs, ref)
+            assert distance(trial, i) == expected
     with pytest.raises(ValueError, match="would skip masked layer"):
         noisy_forward(model, plan, full.inputs[start + 1], start + 1)
 
@@ -235,7 +236,8 @@ def test_calibration_distances_keep_the_round_major_order():
     model, table = random_detector_model(23, False)
     inputs = list(np.random.default_rng(24).uniform(0, 1, (7, 1, 18, 18)))
     got = calibration_distances(model, table, inputs, NoiseConfig(), 5, passes=3)
-    rounds = [first_pass_distances(model, table, inputs, NoiseConfig(), derive_seed(5, "round", r)) for r in range(3)]
+    seeds = [derive_seed(5, "round", r) for r in range(3)]
+    rounds = [first_pass_distances(model, table, inputs, NoiseConfig(), [seed])[0] for seed in seeds]
     assert got.tobytes() == np.concatenate(rounds).tobytes()
 
 
@@ -261,7 +263,7 @@ def test_zero_noise_degeneracy(fixture_model, fixture_table, fixture_data):
 
 def test_detector_deterministic(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=17)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=17)
     x = test_set.images[42]
     a = stochastic_inference(fixture_model, fixture_table, x, cfg)
     b = stochastic_inference(fixture_model, fixture_table, x, cfg)
@@ -273,7 +275,7 @@ def test_detector_deterministic(fixture_model, fixture_table, fixture_data, cali
 
 def test_history_bounded_and_consistent(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=23)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=23)
     for x in test_set.images[:20]:
         v = stochastic_inference(fixture_model, fixture_table, x, cfg)
         assert v.runs_used == len(v.l1_history)
@@ -284,7 +286,7 @@ def test_history_bounded_and_consistent(fixture_model, fixture_table, fixture_da
 
 def test_verdict_json_record(fixture_model, fixture_table, fixture_data, calibrated_thresholds):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=29)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=29)
     v = stochastic_inference(fixture_model, fixture_table, test_set.images[0], cfg)
     rec = v.to_json(input_id=7)
     assert set(rec) == {"input_id", "label", "final_class", "runs_used", "l1_history", "terminated_by"}
@@ -316,12 +318,15 @@ def test_calibrate_needs_enough_samples():
 def test_first_pass_distance_is_the_detectors_first_pass(
     fixture_model, fixture_table, fixture_noise, calibrated_thresholds, benign_eval_inputs
 ):
-    """Calibration samples exactly the d_1 that detection observes."""
-    for i, x in enumerate(benign_eval_inputs[:5]):
-        seed = derive_seed(5, "first-pass", i)
+    """Calibration samples exactly the d_1 that detection observes, one row per base seed."""
+    inputs = benign_eval_inputs[:5]
+    seeds = [derive_seed(5, "first-pass", r) for r in range(3)]
+    rows = first_pass_distances(fixture_model, fixture_table, inputs, fixture_noise, seeds)
+    assert rows.shape == (len(seeds), len(inputs))
+    for seed, row in zip(seeds, rows):
         cfg = DetectorConfig(calibrated_thresholds, max_runs=3, noise=fixture_noise, base_seed=seed)
-        verdict = stochastic_inference(fixture_model, fixture_table, x, cfg)
-        assert first_pass_distance(fixture_model, fixture_table, x, fixture_noise, seed) == verdict.l1_history[0]
+        verdicts = detect_set(fixture_model, fixture_table, cfg, inputs, tag="input")
+        assert row.tolist() == [v.l1_history[0] for v in verdicts]
 
 
 def test_calibrated_fpr_on_holdout(
@@ -334,8 +339,8 @@ def test_calibrated_fpr_on_holdout(
         fixture_table,
         benign_eval_inputs,
         fixture_noise,
-        derive_seed(99, "holdout"),
-    )
+        [derive_seed(99, "holdout")],
+    )[0]
     measured = float(np.mean(d > calibrated_thresholds.t2_avg))
     assert measured <= 1.5 * target
 
@@ -348,7 +353,7 @@ def test_evaluate_empty_adversarial_reports_not_applicable(
     fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path
 ):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=31)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=31)
     attack = AttackConfig(kind="cw_l2")
     metrics, _ = evaluate_attack_sets(
         fixture_model, fixture_table, cfg, test_set.images[:3], {attack.name: []},
@@ -362,10 +367,10 @@ def test_evaluate_empty_adversarial_reports_not_applicable(
 
 def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=37)
+    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=37)
     (verdict,) = detect_set(fixture_model, fixture_table, cfg, [test_set.images[0]], "benign")
     # per-input seeds are keyed by (base_seed, tag, index)
-    alone = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, base_seed=derive_seed(37, "benign", 0))
+    alone = replace(cfg, base_seed=derive_seed(37, "benign", 0))
     assert verdict == stochastic_inference(fixture_model, fixture_table, test_set.images[0], alone)
     attack = AttackConfig(kind="cw_l2")
     metrics, fpr = evaluate_attack_sets(

@@ -154,7 +154,7 @@ def test_conv2d_backward_dx_sums_in_kernel_offset_order(shape, kernel, stride):
     cache = {}
     y = nn.conv2d_forward(x, w, np.zeros(3), stride=stride, cache=cache)
     dy = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
-    dx, _ = nn.conv2d_backward(dy, x, w, stride, None, cache)
+    dx, _ = nn.conv2d_backward(dy, x, w, stride, cache)
     dcols = (w.reshape(3, -1).T @ dy.reshape(3, -1)).reshape(shape[0], kernel, kernel, *y.shape[1:])
     expected = np.zeros(shape)
     h_out, w_out = y.shape[1:]
@@ -322,7 +322,7 @@ def test_linear_layer_gradient_is_weight_row():
     arch = [LayerSpec("dense", out_features=3), LayerSpec("softmax")]
     model = init_model(arch, (1, 2, 2), 3, seed=1)
     x = substream(8, "x").normal(size=(1, 2, 2))
-    trace = model.forward_trace(x)
+    trace = model.forward_trace(x, cache=True)
     for j in range(3):
         seed_grad = np.zeros(3)
         seed_grad[j] = 1.0
@@ -427,14 +427,14 @@ def test_forward_is_deterministic():
 def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
     model = tiny_model(9)
     x = substream(14, "x").uniform(0, 1, (1, 8, 8))
-    full = model.forward_trace(x)
-    cacheless = model.forward_trace(x, cache=False)
+    full = model.forward_trace(x, cache=True)
+    cacheless = model.forward_trace(x)
     assert cacheless.caches is None
     assert cacheless.probs.tobytes() == full.probs.tobytes()
     assert cacheless.logits.tobytes() == full.logits.tobytes()
     for start in range(1, len(model.layers)):
-        suffix = model.forward_trace(full.inputs[start], start=start, cache=False)
-        assert suffix.start == start and len(suffix.inputs) == len(model.layers) - start
+        suffix = model.forward_trace(full.inputs[start], start=start)
+        assert len(suffix.inputs) == len(model.layers) - start
         assert suffix.probs.tobytes() == full.probs.tobytes()
     with pytest.raises(nn.ShapeError, match="layer 3 input"):
         model.forward_trace(x, start=3)
@@ -445,10 +445,26 @@ def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
 def test_backward_refuses_cacheless_and_mid_network_traces():
     model = tiny_model(10)
     x = substream(15, "x").uniform(0, 1, (1, 8, 8))
-    full = model.forward_trace(x)
+    full = model.forward_trace(x, cache=True)
     dlogits = np.ones(4)
     with pytest.raises(ValueError, match="backward needs"):
-        model.forward_trace(x, cache=False).backward(dlogits)
+        model.forward_trace(x).backward(dlogits)
     with pytest.raises(ValueError, match="backward needs"):
         model.forward_trace(full.inputs[3], start=3).backward(dlogits)
     full.backward(dlogits)
+
+
+def test_cached_forward_refuses_masks_act_factors_and_a_later_start():
+    """Backward runs every layer mask- and noise-free from the input, so only such a forward may cache."""
+    model = tiny_model(11)
+    x = substream(16, "x").uniform(0, 1, (1, 8, 8))
+    full = model.forward_trace(x, cache=True)
+    masks = {idx: np.ones(model.params[idx]["w"].shape) for idx in model.parametric_layers()}
+    relu = next(i for i, spec in enumerate(model.layers) if spec.kind == "relu")
+    factors = {relu: np.ones(model.layer_input_shapes[relu])}
+    for kwargs in ({"masks": masks}, {"act_factors": factors}):
+        with pytest.raises(ValueError, match="cached forward"):
+            model.forward_trace(x, cache=True, **kwargs)
+        assert model.forward_trace(x, **kwargs).probs.tobytes() == full.probs.tobytes()
+    with pytest.raises(ValueError, match="cached forward"):
+        model.forward_trace(full.inputs[3], start=3, cache=True)
