@@ -44,9 +44,8 @@ from .detector import (
 from .attacks import (
     AdversarialSample,
     AttackConfig,
-    cw_l2,
-    defense_aware,
-    fgsm,
+    pick_exemplars,
+    run_attack,
     select_target,
 )
 from .accelsim import (
@@ -92,9 +91,8 @@ __all__ = [
     "stochastic_inference",
     "AdversarialSample",
     "AttackConfig",
-    "cw_l2",
-    "defense_aware",
-    "fgsm",
+    "pick_exemplars",
+    "run_attack",
     "select_target",
     "AcceleratorConfig",
     "CycleReport",

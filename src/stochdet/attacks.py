@@ -1,6 +1,7 @@
 """White-box adversarial example generation.
 
-Three attacks against the dense model:
+Three attacks against the dense model, each run on one source through
+run_attack, the one entry point:
 
 * fgsm -- single-step untargeted baseline, mostly for calibration.
 * cw_l2 -- targeted gradient-descent attack minimizing
@@ -12,8 +13,8 @@ Three attacks against the dense model:
   benign exemplar x_t of the target class so the perturbed input reacts
   to model noise the way a legitimate image would.
 
-All attacks clip or reparameterize into [0,1]^n and are deterministic
-under a fixed seed.
+All attacks clip or reparameterize into [0,1]^n and are deterministic;
+they take no seed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, input_gradient, loss_gradients, read_blob_array, read_container, write_container
+from .model import Model, finite_reals, input_gradient, loss_gradients, read_blob_array, read_container, write_container
 from .nn import CompositeLoss, CrossEntropyLoss, ProbVector
 
 _ATANH_CLIP = 1.0 - 1e-6  # keeps atanh finite for pixels at exactly 0 or 1
@@ -48,6 +49,8 @@ class AttackConfig:
             raise AttackError(f"unknown attack kind {self.kind!r}")
         if self.target_mode not in ("next", "least_likely"):
             raise AttackError(f"unknown target mode {self.target_mode!r}")
+        if not finite_reals(self.k, self.c, self.beta, self.step_size, self.eps):
+            raise AttackError(f"k, c, beta, step_size and eps must be finite numbers; got {self!r}")
         if not (type(self.steps) is int and self.steps >= 1 and self.step_size > 0):
             raise AttackError(f"need integer steps >= 1 and step_size > 0; got ({self.steps!r}, {self.step_size!r})")
         if not 0.0 <= self.eps < 1.0:
@@ -99,25 +102,6 @@ def l2_distortion(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
-def fgsm(model: Model, x: np.ndarray, eps: float) -> AdversarialSample:
-    """x' = clip(x + eps * sign(dCE/dx)); untargeted, away from the predicted class."""
-    if not 0.0 <= eps < 1.0:
-        raise AttackError(f"eps must be in [0, 1), got {eps}")
-    src = model.predict(x).top_class
-    grad = input_gradient(model, x, CrossEntropyLoss(src))
-    perturbed = np.clip(x + eps * np.sign(grad), 0.0, 1.0)
-    final = model.predict(perturbed).top_class
-    return AdversarialSample(
-        original=np.asarray(x, dtype=np.float64).copy(),
-        perturbed=perturbed,
-        target_class=src,  # the class being escaped
-        success=final != src,
-        l2_distortion=l2_distortion(perturbed, x),
-        kind="fgsm",
-        source_class=src,
-    )
-
-
 def _to_tanh_space(x: np.ndarray) -> np.ndarray:
     return np.arctanh(np.clip(2.0 * x - 1.0, -_ATANH_CLIP, _ATANH_CLIP))
 
@@ -129,7 +113,10 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
 def _targeted_descent(
     model: Model, x0: np.ndarray, target: int, cfg: AttackConfig, target_probs: np.ndarray | None
 ) -> np.ndarray:
-    """Shared gradient-descent loop for cw_l2 and defense_aware; returns the chosen input.
+    """Shared gradient-descent loop of cw_l2 and defense_aware; returns the chosen input.
+
+    run_attack is the entry point: it predicts the source x0, picks and
+    checks the target and, for defense_aware, the exemplar's target_probs.
 
     Tracks the best full-margin iterate (target logit clear of all others
     by k) by the attack's own distance objective; falls back to the best
@@ -179,82 +166,46 @@ def _targeted_descent(
     return chosen[1] if chosen is not None else x_adv
 
 
-def cw_l2(model: Model, x: np.ndarray, target: int, cfg: AttackConfig) -> AdversarialSample:
-    """Targeted minimum-distortion attack with confidence margin k."""
-    x = np.asarray(x, dtype=np.float64)
-    ref = model.predict(x)
-    src = ref.top_class
-    if src == target:
-        return AdversarialSample(
-            original=x.copy(),
-            perturbed=x.copy(),
-            target_class=target,
-            success=True,
-            l2_distortion=0.0,
-            kind=cfg.kind,
-            source_class=src,
-        )
-    perturbed = _targeted_descent(model, x, target, cfg, target_probs=None)
-    return AdversarialSample(
-        original=x.copy(),
-        perturbed=perturbed,
-        target_class=target,
-        success=model.predict(perturbed).top_class == target,
-        l2_distortion=l2_distortion(perturbed, x),
-        kind=cfg.kind,
-        source_class=src,
-    )
-
-
-def defense_aware(
-    model: Model, x: np.ndarray, target_exemplar: np.ndarray, cfg: AttackConfig
-) -> AdversarialSample:
-    """Composite attack mimicking a benign exemplar's output distribution.
-
-    target_exemplar is a benign input of the target class; its dense-model
-    output distribution anchors the L1 penalty.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    exemplar_out = model.predict(target_exemplar)
-    target = exemplar_out.top_class
-    ref = model.predict(x)
-    src = ref.top_class
-    if src == target:
-        raise AttackError("exemplar is classified as the input's own class; pick another target")
-    perturbed = _targeted_descent(model, x, target, cfg, target_probs=exemplar_out.probs)
-    final_probs = model.predict(perturbed)
-    return AdversarialSample(
-        original=x.copy(),
-        perturbed=perturbed,
-        target_class=target,
-        success=final_probs.top_class == target,
-        l2_distortion=l2_distortion(perturbed, x),
-        kind=cfg.kind,
-        source_class=src,
-        attack_l1_to_target=float(np.abs(final_probs.probs - exemplar_out.probs).sum()),
-    )
-
-
 def run_attack(
     model: Model,
     x: np.ndarray,
     cfg: AttackConfig,
     exemplars: dict[int, np.ndarray] | None = None,
 ) -> AdversarialSample:
-    """Dispatch one attack according to cfg.kind.
+    """Attack one source x as cfg says; the one entry point of every attack kind.
 
-    exemplars maps class -> benign exemplar and is required only for
-    defense_aware (see pick_exemplars).
+    FGSM escapes the source's predicted class. cw_l2 and defense_aware
+    descend toward select_target's target, which must differ from it;
+    defense_aware also needs exemplars[target], a benign input classified
+    as the target (see pick_exemplars), to anchor its L1 term.
     """
-    if cfg.kind == "fgsm":
-        return fgsm(model, x, cfg.eps)
+    x = np.asarray(x, dtype=np.float64)
     ref = model.predict(x)
-    target = select_target(ref, cfg.target_mode)
-    if cfg.kind == "cw_l2":
-        return cw_l2(model, x, target, cfg)
-    if exemplars is None or target not in exemplars:
-        raise AttackError(f"defense_aware needs a benign exemplar for target class {target}")
-    return defense_aware(model, x, exemplars[target], cfg)
+    src = target = ref.top_class
+    target_probs = None
+    if cfg.kind == "fgsm":
+        perturbed = np.clip(x + cfg.eps * np.sign(input_gradient(model, x, CrossEntropyLoss(src))), 0.0, 1.0)
+    else:
+        target = select_target(ref, cfg.target_mode)
+        if target == src:
+            raise AttackError(f"every class ties, so no target differs from the source class {src}")
+        if cfg.kind == "defense_aware":
+            anchor = model.predict(exemplars[target]) if exemplars and target in exemplars else None
+            if anchor is None or anchor.top_class != target:
+                raise AttackError(f"defense_aware needs a benign exemplar classified as target class {target}")
+            target_probs = anchor.probs
+        perturbed = _targeted_descent(model, x, target, cfg, target_probs)
+    final = model.predict(perturbed)
+    return AdversarialSample(
+        original=x.copy(),
+        perturbed=perturbed,
+        target_class=target,  # for fgsm, the class being escaped
+        success=final.top_class != src if cfg.kind == "fgsm" else final.top_class == target,
+        l2_distortion=l2_distortion(perturbed, x),
+        kind=cfg.kind,
+        source_class=src,
+        attack_l1_to_target=None if target_probs is None else float(np.abs(final.probs - target_probs).sum()),
+    )
 
 
 def pick_exemplars(model: Model, dataset) -> dict[int, np.ndarray]:

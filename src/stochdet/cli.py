@@ -19,7 +19,6 @@ import os
 import sys
 from pathlib import Path
 
-from .attacks import AttackError, load_adversarial_set
 from .detector import detect_set
 from .model import ModelFormatError
 from .pipeline import (
@@ -95,13 +94,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     state = _state(args)
     if args.adversarial_set:
-        path = Path(args.adversarial_set)
-        if not path.exists():
-            raise ConfigError(f"adversarial set path does not exist: {path}")
-        try:
-            inputs = [s.perturbed for s in load_adversarial_set(path.read_bytes())]
-        except AttackError as exc:
-            raise ConfigError(f"{path} is not a valid adversarial set: {exc}") from exc
+        inputs = [s.perturbed for s in state.read_adversarial_set(Path(args.adversarial_set))]
         tag = "adversarial"
     else:
         inputs, tag = state["benign_eval"], "benign"

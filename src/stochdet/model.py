@@ -337,6 +337,11 @@ def init_model(
     )
 
 
+def finite_reals(*values) -> bool:
+    """True when every value is a finite int or float and none is a bool."""
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+
+
 @dataclass
 class TrainConfig:
     """The experiment's training settings."""
@@ -349,9 +354,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         counts_ok = all(type(v) is int for v in (self.epochs, self.seed, self.batch_size))
-        if not (counts_ok and self.epochs >= 0 and self.batch_size >= 1 and self.lr > 0 and self.weight_decay >= 0):
+        rates_ok = finite_reals(self.lr, self.weight_decay) and self.lr > 0 and self.weight_decay >= 0
+        if not (counts_ok and rates_ok and self.epochs >= 0 and self.batch_size >= 1):
             raise ValueError(
-                "need integer epochs >= 0, integer seed, integer batch_size >= 1, lr > 0 and weight_decay >= 0; got "
+                "need integer epochs >= 0, integer seed, integer batch_size >= 1, finite lr > 0 and "
+                "finite weight_decay >= 0; got "
                 f"({self.epochs!r}, {self.seed!r}, {self.batch_size!r}, {self.lr!r}, {self.weight_decay!r})"
             )
 

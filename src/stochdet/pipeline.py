@@ -28,6 +28,7 @@ from . import __version__
 from .accelsim import AcceleratorConfig, CycleReport, simulate_model
 from .attacks import (
     AttackConfig,
+    AttackError,
     AdversarialSample,
     load_adversarial_set,
     pick_exemplars,
@@ -47,10 +48,13 @@ from .detector import (
     noisy_passes,
 )
 from .model import (
+    RATE_GRID,
+    RATE_GRID_STEPS,
     Model,
     TrainConfig,
     _propagate_shapes,
     conv_pool_arch,
+    finite_reals,
     load_model,
     profile_thresholds,
     save_model,
@@ -85,9 +89,10 @@ class DetectorSettings:
 
     def __post_init__(self) -> None:
         integers = all(_is_int(v) for v in (self.max_runs, self.calibration_passes))
-        if not (integers and self.max_runs >= 1 and self.calibration_passes >= 1 and 0.0 < self.target_fpr < 1.0):
+        fpr_ok = finite_reals(self.target_fpr) and 0.0 < self.target_fpr < 1.0
+        if not (integers and fpr_ok and self.max_runs >= 1 and self.calibration_passes >= 1):
             raise ValueError(
-                "need integer max_runs >= 1, integer calibration_passes >= 1 and 0 < target_fpr < 1; got "
+                "need integer max_runs >= 1, integer calibration_passes >= 1 and a number 0 < target_fpr < 1; got "
                 f"({self.max_runs!r}, {self.calibration_passes!r}, {self.target_fpr!r})"
             )
 
@@ -391,7 +396,15 @@ class RunState:
         return load_model(self._given_path("model").read_bytes())
 
     def _load_table(self) -> ThresholdTable:
-        return self._read_given("table", ThresholdTable.from_json)
+        """The given table; one made for another model, rate grid or layer shape is a ConfigError."""
+        table, model = self._read_given("table", ThresholdTable.from_json), self["model"]
+        if table.model_fingerprint != model.fingerprint():
+            raise ConfigError(f"{self.paths['table']} was profiled for another model")
+        shapes = {i: (model.params[i]["w"].shape[0], RATE_GRID_STEPS) for i in model.parametric_layers()}
+        layers_fit = shapes == {i: t.shape for i, t in table.thresholds.items()}
+        if not (layers_fit and np.array_equal(table.rate_grid, RATE_GRID)):
+            raise ConfigError(f"{self.paths['table']} does not have the rate grid and per-layer shapes of this model")
+        return table
 
     def _load_thresholds(self) -> DetectionThresholds:
         return self._read_given("thresholds", lambda payload: DetectionThresholds.from_json(payload["thresholds"]))
@@ -404,9 +417,16 @@ class RunState:
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{path} is not a valid {name} artifact: {exc!r}") from exc
 
+    def read_adversarial_set(self, path: Path) -> list[AdversarialSample]:
+        """The samples of the adversarial set at path; a missing or corrupt one is a ConfigError."""
+        try:
+            return load_adversarial_set(path.read_bytes())
+        except (OSError, AttackError) as exc:
+            raise ConfigError(f"{path} is not a readable adversarial set: {exc}") from exc
+
     def _load_adv_sets(self) -> dict[str, list[AdversarialSample]]:
         return {
-            spec.name: load_adversarial_set(self._run_file(f"adv_{spec.name}.bin", "attack").read_bytes())
+            spec.name: self.read_adversarial_set(self._run_file(f"adv_{spec.name}.bin", "attack"))
             for spec in self.cfg.attacks
         }
 

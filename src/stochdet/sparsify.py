@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, RATE_GRID_STEPS, ThresholdTable
+from .model import Model, RATE_GRID_STEPS, ThresholdTable, finite_reals
 from .nn import ProbVector
 from .rng import substream
 
@@ -39,10 +39,10 @@ class NoiseConfig:
     gamma: float = 4.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sr_lo <= self.sr_hi < 1.0:
-            raise ValueError(f"need 0 <= sr_lo <= sr_hi < 1, got ({self.sr_lo}, {self.sr_hi})")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (finite_reals(self.sr_lo, self.sr_hi) and 0.0 <= self.sr_lo <= self.sr_hi < 1.0):
+            raise ValueError(f"need numbers 0 <= sr_lo <= sr_hi < 1, got ({self.sr_lo!r}, {self.sr_hi!r})")
+        if not (finite_reals(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite positive number, got {self.gamma!r}")
 
 
 def confidence(ref: ProbVector) -> float:

@@ -1,5 +1,6 @@
 """Target selection, FGSM, CW-L2, the defense-aware attack, and containers."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -11,9 +12,6 @@ from stochdet.attacks import (
     AdversarialSample,
     AttackConfig,
     AttackError,
-    cw_l2,
-    defense_aware,
-    fgsm,
     l2_distortion,
     load_adversarial_set,
     run_attack,
@@ -69,7 +67,7 @@ def test_fgsm_zero_eps_is_identity(fixture_model, fixture_data):
     _, test_set = fixture_data
     x, lab = test_set.images[0], test_set.labels[0]
     assert fixture_model.predict(x).top_class == lab
-    sample = fgsm(fixture_model, x, 0.0)
+    sample = run_attack(fixture_model, x, AttackConfig(kind="fgsm", eps=0.0))
     np.testing.assert_array_equal(sample.perturbed, x)
     assert not sample.success
     assert sample.l2_distortion == 0.0
@@ -79,7 +77,7 @@ def test_fgsm_perturbation_is_eps_except_clipped(fixture_model, fixture_data):
     _, test_set = fixture_data
     x = test_set.images[1]
     eps = 0.12
-    sample = fgsm(fixture_model, x, eps)
+    sample = run_attack(fixture_model, x, AttackConfig(kind="fgsm", eps=eps))
     delta = np.abs(sample.perturbed - x)
     interior = (x > eps) & (x < 1 - eps) & (delta > 0)
     np.testing.assert_allclose(delta[interior], eps, atol=1e-12)
@@ -94,7 +92,7 @@ def test_fgsm_flip_rate_gate(fixture_model, fixture_data):
         if fixture_model.predict(x).top_class != lab:
             continue
         total += 1
-        flips += fgsm(fixture_model, x, 0.15).success
+        flips += run_attack(fixture_model, x, AttackConfig(kind="fgsm", eps=0.15)).success
     assert total >= 100
     assert flips / total >= 0.20
 
@@ -106,35 +104,26 @@ def test_fgsm_flip_rate_gate(fixture_model, fixture_data):
 def test_cw_success_flag_matches_prediction(fixture_model, attack_sources):
     for x in attack_sources[:8]:
         target = select_target(fixture_model.predict(x), "next")
-        s = cw_l2(fixture_model, x, target, CW_CFG)
+        s = run_attack(fixture_model, x, CW_CFG)
+        assert s.target_class == target
         assert s.success == (fixture_model.predict(s.perturbed).top_class == target)
 
 
 def test_cw_margin_at_k_zero(fixture_model, attack_sources):
     # at k=0 a successful sample's target logit tops every other logit
     x = attack_sources[0]
-    target = select_target(fixture_model.predict(x), "next")
-    s = cw_l2(fixture_model, x, target, CW_CFG)
+    s = run_attack(fixture_model, x, CW_CFG)
     assert s.success
     logits = fixture_model.predict(s.perturbed).logits
-    others = np.delete(logits, target)
-    assert logits[target] >= others.max()
+    others = np.delete(logits, s.target_class)
+    assert logits[s.target_class] >= others.max()
 
 
 def test_cw_box_and_distortion_accounting(fixture_model, attack_sources):
     for x in attack_sources[:6]:
-        target = select_target(fixture_model.predict(x), "next")
-        s = cw_l2(fixture_model, x, target, CW_CFG)
+        s = run_attack(fixture_model, x, CW_CFG)
         assert s.perturbed.min() >= 0.0 and s.perturbed.max() <= 1.0
         assert s.l2_distortion == pytest.approx(l2_distortion(s.perturbed, s.original), abs=1e-9)
-
-
-def test_cw_immediate_success_when_already_target(fixture_model, attack_sources):
-    x = attack_sources[0]
-    current = fixture_model.predict(x).top_class
-    s = cw_l2(fixture_model, x, current, CW_CFG)
-    assert s.success and s.l2_distortion == 0.0
-    np.testing.assert_array_equal(s.perturbed, x)
 
 
 def test_cw_distortion_grows_with_k(cw_sets):
@@ -152,9 +141,8 @@ def test_cw_distortion_grows_with_k(cw_sets):
 
 def test_cw_determinism(fixture_model, attack_sources):
     x = attack_sources[3]
-    target = select_target(fixture_model.predict(x), "next")
-    a = cw_l2(fixture_model, x, target, CW_CFG)
-    b = cw_l2(fixture_model, x, target, CW_CFG)
+    a = run_attack(fixture_model, x, CW_CFG)
+    b = run_attack(fixture_model, x, CW_CFG)
     np.testing.assert_array_equal(a.perturbed, b.perturbed)
 
 
@@ -165,21 +153,19 @@ def test_cw_determinism(fixture_model, attack_sources):
 def test_defense_aware_beta_zero_matches_cw_family(fixture_model, attack_sources, fixture_exemplars):
     # with beta=0 the objective degenerates to cw_l2's
     x = attack_sources[1]
-    target = select_target(fixture_model.predict(x), "next")
     cfg = AttackConfig(kind="defense_aware", k=0.0, beta=0.0, steps=300, step_size=0.02)
-    s = defense_aware(fixture_model, x, fixture_exemplars[target], cfg)
-    c = cw_l2(fixture_model, x, target, CW_CFG)
+    s = run_attack(fixture_model, x, cfg, fixture_exemplars)
+    c = run_attack(fixture_model, x, CW_CFG)
     np.testing.assert_allclose(s.perturbed, c.perturbed, atol=1e-12)
 
 
 def test_defense_aware_records_l1_to_target(fixture_model, attack_sources, fixture_exemplars):
     x = attack_sources[2]
-    target = select_target(fixture_model.predict(x), "next")
     cfg = AttackConfig(kind="defense_aware", k=2.0, beta=1e-2, steps=300, step_size=0.02)
-    s = defense_aware(fixture_model, x, fixture_exemplars[target], cfg)
+    s = run_attack(fixture_model, x, cfg, fixture_exemplars)
     expected = np.abs(
         fixture_model.predict(s.perturbed).probs
-        - fixture_model.predict(fixture_exemplars[target]).probs
+        - fixture_model.predict(fixture_exemplars[s.target_class]).probs
     ).sum()
     assert s.attack_l1_to_target == pytest.approx(expected, abs=1e-9)
 
@@ -241,16 +227,33 @@ def test_run_attack_dispatch(fixture_model, attack_sources, fixture_exemplars):
     assert s.kind == "defense_aware"
 
 
+def test_run_attack_refuses_a_target_equal_to_the_source(fixture_model, attack_sources):
+    # with every parameter zero all classes tie, and select_target's least
+    # likely class is the source class itself
+    zeroed = {i: {name: np.zeros_like(w) for name, w in p.items()} for i, p in fixture_model.params.items()}
+    model = dataclasses.replace(fixture_model, params=zeroed)
+    cfg = AttackConfig(kind="cw_l2", target_mode="least_likely", steps=5)
+    with pytest.raises(AttackError, match="source class"):
+        run_attack(model, attack_sources[0], cfg)
+
+
+def test_run_attack_refuses_an_exemplar_of_another_class(fixture_model, attack_sources, fixture_exemplars):
+    x = attack_sources[5]
+    target = select_target(fixture_model.predict(x), "next")
+    other = next(c for c in fixture_exemplars if c != target)
+    cfg = AttackConfig(kind="defense_aware", beta=1e-3, steps=5)
+    with pytest.raises(AttackError, match="exemplar"):
+        run_attack(fixture_model, x, cfg, exemplars={target: fixture_exemplars[other]})
+
+
 # ---------------------------------------------------------------------------
 # container round-trip
 
 
 def test_adversarial_set_roundtrip(fixture_model, attack_sources):
-    x = attack_sources[6]
-    target = select_target(fixture_model.predict(x), "next")
     samples = [
-        cw_l2(fixture_model, x, target, CW_CFG),
-        fgsm(fixture_model, attack_sources[7], 0.1),
+        run_attack(fixture_model, attack_sources[6], CW_CFG),
+        run_attack(fixture_model, attack_sources[7], AttackConfig(kind="fgsm", eps=0.1)),
     ]
     blob = save_adversarial_set(samples, provenance={"config_hash": "abc"})
     restored = load_adversarial_set(blob)

@@ -217,6 +217,45 @@ def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, c
     assert "config error" in err and "corrupt.json" in err
 
 
+@pytest.mark.parametrize("mismatch", ["fingerprint", "rate-grid", "grid-columns", "missing-layer"])
+def test_table_that_does_not_fit_the_model_is_a_config_error(pipeline_run, tmp_path, capsys, mismatch):
+    run_dir = Path(pipeline_run[0].out_dir)
+    doc = json.loads((run_dir / "threshold_table.json").read_text())
+    table = doc["payload"]
+    if mismatch == "fingerprint":
+        table["model_fingerprint"] = "0" * 64
+    elif mismatch == "rate-grid":
+        table["rate_grid"] = [r / 2 for r in table["rate_grid"]]
+    elif mismatch == "grid-columns":
+        table["thresholds"] = {k: [row[:16] for row in v] for k, v in table["thresholds"].items()}
+    else:
+        del table["thresholds"]["3"]
+    (tmp_path / "table.json").write_text(json.dumps(doc))
+    argv = ["calibrate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    argv += ["--model", str(run_dir / "model.bin"), "--table", str(tmp_path / "table.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "table.json" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_truncated_adversarial_set_is_a_config_error(pipeline_run, tmp_path, capsys, command):
+    cfg = pipeline_run[0]
+    run_dir, out = Path(cfg.out_dir), tmp_path / "out"
+    out.mkdir()
+    for spec in cfg.attacks:
+        shutil.copy(run_dir / f"adv_{spec.name}.bin", out)
+    bad = out / f"adv_{cfg.attacks[0].name}.bin"
+    bad.write_bytes(bad.read_bytes()[:100])
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out), "--model", str(run_dir / "model.bin")]
+    argv += ["--table", str(run_dir / "threshold_table.json"), "--thresholds", str(run_dir / "thresholds.json")]
+    if command == "detect":
+        argv += ["--adversarial-set", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and bad.name in err
+
+
 def test_metrics_csv_schema_and_order(pipeline_run):
     cfg, _ = pipeline_run
     lines = [
@@ -329,6 +368,18 @@ def test_partial_sections_keep_experiment_defaults():
         {"detector": {"calibration_passes": True}},
         {"accelerator": {"group_size": True}},
         {"attacks": [{"kind": "cw_l2", "steps": True}]},
+        {"noise": {"gamma": True}},
+        {"noise": {"gamma": float("nan")}},
+        {"noise": {"sr_lo": False}},
+        {"train": {"lr": True}},
+        {"train": {"lr": float("inf")}},
+        {"train": {"weight_decay": True}},
+        {"attacks": [{"kind": "cw_l2", "k": float("nan")}]},
+        {"attacks": [{"kind": "cw_l2", "c": True}]},
+        {"attacks": [{"kind": "cw_l2", "step_size": float("inf")}]},
+        {"attacks": [{"kind": "defense_aware", "beta": float("nan")}]},
+        {"attacks": [{"kind": "fgsm", "eps": False}]},
+        {"detector": {"target_fpr": True}},
     ],
 )
 def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
