@@ -44,6 +44,8 @@ from .detector import (
 from .attacks import (
     AdversarialSample,
     AttackConfig,
+    attack_set,
+    attack_sets,
     pick_exemplars,
     run_attack,
     select_target,
@@ -91,6 +93,8 @@ __all__ = [
     "stochastic_inference",
     "AdversarialSample",
     "AttackConfig",
+    "attack_set",
+    "attack_sets",
     "pick_exemplars",
     "run_attack",
     "select_target",

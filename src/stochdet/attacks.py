@@ -1,7 +1,11 @@
 """White-box adversarial example generation.
 
-Three attacks against the dense model, each run on one source through
-run_attack, the one entry point:
+Three attacks against the dense model. attack_sets runs several attacks
+over a set of sources as batches: each (attack, source) pair is one row,
+and one forward and backward per descent step serves a block of rows.
+attack_set is attack_sets for one attack, and run_attack attack_set on
+one source. Each row is byte for byte what its source gives attacked
+alone:
 
 * fgsm -- single-step untargeted baseline, mostly for calibration.
 * cw_l2 -- targeted gradient-descent attack minimizing
@@ -23,7 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Model, finite_reals, input_gradient, loss_gradients, read_blob_array, read_container, write_container
+from .model import (
+    BATCH_ROWS,
+    Model,
+    finite_reals,
+    loss_gradients,
+    read_blob_array,
+    read_container,
+    write_container,
+)
 from .nn import CompositeLoss, CrossEntropyLoss, ProbVector
 
 _ATANH_CLIP = 1.0 - 1e-6  # keeps atanh finite for pixels at exactly 0 or 1
@@ -111,59 +123,157 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
 
 
 def _targeted_descent(
-    model: Model, x0: np.ndarray, target: int, cfg: AttackConfig, target_probs: np.ndarray | None
+    model: Model, x0: np.ndarray, target: np.ndarray, cfgs: list[AttackConfig], p_ref: np.ndarray
 ) -> np.ndarray:
-    """Shared gradient-descent loop of cw_l2 and defense_aware; returns the chosen input.
+    """Shared gradient-descent loop of cw_l2 and defense_aware over a block of rows; returns the chosen inputs.
 
-    run_attack is the entry point: it predicts the source x0, picks and
-    checks the target and, for defense_aware, the exemplar's target_probs.
+    attack_sets is the entry point: it gives each row x0[i] its own attack
+    cfgs[i] (all of one step count), its checked target and, for
+    defense_aware, the exemplar output p_ref[i] (zeros otherwise).
 
-    Tracks the best full-margin iterate (target logit clear of all others
-    by k) by the attack's own distance objective; falls back to the best
-    argmax-only success when the margin is never reached, and to the last
-    iterate when neither occurs.
+    Tracks, per row, the best full-margin iterate (target logit clear of
+    all others by k) by the attack's own distance objective; falls back
+    to the best argmax-only success when the margin is never reached, and
+    to the last iterate when neither occurs.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(x0)
     # The L1 penalty competes with a squared-distance term that scales with
     # input dimension, so its weight is normalized by pixel count to keep
     # one beta range meaningful across image sizes. Without this, beta's
     # pull is a ~1% perturbation at small image sizes and the converged
     # attack ignores it entirely.
-    beta = cfg.beta * x0.size if cfg.kind == "defense_aware" else 0.0
-    p_ref = target_probs if target_probs is not None else np.zeros(model.class_count)
-    loss = CompositeLoss(target=target, k=cfg.k, c=cfg.c, beta=beta, target_probs=p_ref, x0=x0)
+    beta = np.array([c.beta * x0[0].size if c.kind == "defense_aware" else 0.0 for c in cfgs])
+    k = np.array([c.k for c in cfgs])
+    loss = CompositeLoss(target=target, k=k, c=np.array([c.c for c in cfgs]), beta=beta, target_probs=p_ref, x0=x0)
 
+    rows, per_row = np.arange(n), (n,) + (1,) * (x0.ndim - 1)
+    step_size = np.array([c.step_size for c in cfgs]).reshape(per_row)
     w = _to_tanh_space(x0)
-    best: tuple[float, np.ndarray] | None = None  # (score, x)
-    fallback: tuple[float, np.ndarray] | None = None
+    # per row: whether a candidate is kept, its score and its input
+    best = [np.zeros(n, dtype=bool), np.zeros(n), np.empty_like(x0)]
+    fallback = [np.zeros(n, dtype=bool), np.zeros(n), np.empty_like(x0)]
+
+    def keep(kept: list, take: np.ndarray, score: np.ndarray, x_adv: np.ndarray) -> None:
+        kept[0] |= take
+        np.copyto(kept[1], score, where=take)
+        np.copyto(kept[2], x_adv, where=take.reshape(per_row))
 
     def consider(x_adv: np.ndarray, logits: np.ndarray, probs: np.ndarray) -> None:
-        nonlocal best, fallback
         others = logits.copy()
-        others[target] = -np.inf
-        margin_ok = logits[target] - others.max() >= cfg.k
-        arg_ok = int(np.argmax(probs)) == target
-        dist = l2_distortion(x_adv, x0)
-        score = beta * float(np.abs(probs - p_ref).sum()) + dist * dist
-        if margin_ok and (best is None or score < best[0]):
-            best = (score, x_adv)
-        elif arg_ok and (fallback is None or score < fallback[0]):
-            fallback = (score, x_adv)
+        others[rows, target] = -np.inf
+        margin_ok = logits[rows, target] - others.max(axis=1) >= k
+        arg_ok = np.argmax(probs, axis=1) == target
+        dist = np.sqrt(((x_adv - x0) ** 2).reshape(n, -1).sum(axis=1))
+        score = dist * dist
+        if beta.any():  # a zero beta adds +0.0 to a score >= 0: no byte changes
+            score = beta * np.abs(probs - p_ref).sum(axis=1) + score
+        take_best = margin_ok & (~best[0] | (score < best[1]))
+        keep(best, take_best, score, x_adv)
+        keep(fallback, ~take_best & arg_ok & (~fallback[0] | (score < fallback[1])), score, x_adv)
 
-    for _ in range(cfg.steps):
+    for _ in range(cfgs[0].steps):
         tanh_w = np.tanh(w)
         x_adv = (tanh_w + 1.0) / 2.0
-        trace, _, dx, _ = loss_gradients(model, x_adv, loss)
+        trace, _, dx, _ = loss_gradients(model, x_adv, loss, param_grads=False)
         consider(x_adv, trace.logits, trace.probs)
         # chain through x = (tanh(w) + 1) / 2
         dw = dx * (1.0 - tanh_w**2) / 2.0
-        w = w - cfg.step_size * dw
+        w = w - step_size * dw
     x_adv = _from_tanh_space(w)
     trace = model.forward_trace(x_adv)
     consider(x_adv, trace.logits, trace.probs)
 
-    chosen = best if best is not None else fallback
-    return chosen[1] if chosen is not None else x_adv
+    return np.where(best[0].reshape(per_row), best[2], np.where(fallback[0].reshape(per_row), fallback[2], x_adv))
+
+
+def attack_sets(
+    model: Model,
+    sources: list[np.ndarray],
+    cfgs: list[AttackConfig],
+    exemplars: dict[int, np.ndarray] | None = None,
+) -> list[list[AdversarialSample]]:
+    """Every attack of cfgs on every source: result[j][i] is cfgs[j] on sources[i].
+
+    FGSM escapes each source's predicted class. cw_l2 and defense_aware
+    descend toward select_target's target, which must differ from the
+    source's class; defense_aware also needs exemplars[target], a benign
+    input classified as the target (see pick_exemplars), to anchor its L1
+    term. A source that breaks either rule raises AttackError.
+
+    One forward predicts the sources. The FGSM rows, and the descent rows
+    of one step count, run BATCH_ROWS at a time, whatever attack each row
+    belongs to.
+    """
+    n = len(sources)
+    if n == 0 or not cfgs:
+        return [[] for _ in cfgs]
+    x = np.stack([np.asarray(s, dtype=np.float64) for s in sources])
+    ref = model.predict_batch(x)
+    src = np.argmax(ref.probs, axis=1)
+    row_cfgs = [cfg for cfg in cfgs for _ in range(n)]  # attack-major: row j * n + i
+    x0, src_rows = np.concatenate([x] * len(cfgs)), np.tile(src, len(cfgs))
+    target, p_ref = src_rows.copy(), np.zeros((len(x0), model.class_count))  # fgsm: the class being escaped
+    for j, cfg in enumerate(cfgs):
+        if cfg.kind == "fgsm":
+            continue
+        t = np.array([select_target(ref[i], cfg.target_mode) for i in range(n)])
+        if (t == src).any():
+            raise AttackError(f"every class ties, so no target differs from the source class {src[t == src][0]}")
+        if cfg.kind == "defense_aware":
+            # one forward over each row's exemplar; a missing or misclassified one fails its row
+            found = exemplars is not None and all(c in exemplars for c in t.tolist())
+            anchors = model.predict_batch([exemplars[c] for c in t.tolist()]).probs if found else None
+            wrong = t if anchors is None else t[np.argmax(anchors, axis=1) != t]
+            if len(wrong):
+                raise AttackError(f"defense_aware needs a benign exemplar classified as target class {wrong[0]}")
+            p_ref[j * n : (j + 1) * n] = anchors
+        target[j * n : (j + 1) * n] = t
+
+    # fgsm rows form one group, descent rows one group per step count
+    groups: dict[str | int, list[int]] = {}
+    for i, cfg in enumerate(row_cfgs):
+        groups.setdefault("fgsm" if cfg.kind == "fgsm" else cfg.steps, []).append(i)
+    perturbed = np.empty_like(x0)
+    for key, rows in groups.items():
+        for b in range(0, len(rows), BATCH_ROWS):
+            block = rows[b : b + BATCH_ROWS]
+            if key == "fgsm":
+                dx = loss_gradients(model, x0[block], CrossEntropyLoss(src_rows[block]), param_grads=False)[2]
+                eps = np.array([row_cfgs[i].eps for i in block]).reshape(-1, *(1,) * (x0.ndim - 1))
+                perturbed[block] = np.clip(x0[block] + eps * np.sign(dx), 0.0, 1.0)
+            else:
+                perturbed[block] = _targeted_descent(
+                    model, x0[block], target[block], [row_cfgs[i] for i in block], p_ref[block]
+                )
+
+    final = model.predict_batch(perturbed)
+    top = np.argmax(final.probs, axis=1)
+    samples = [
+        AdversarialSample(
+            original=x0[i].copy(),
+            perturbed=perturbed[i],
+            target_class=int(target[i]),
+            success=bool(top[i] != src_rows[i] if cfg.kind == "fgsm" else top[i] == target[i]),
+            l2_distortion=l2_distortion(perturbed[i], x0[i]),
+            kind=cfg.kind,
+            source_class=int(src_rows[i]),
+            attack_l1_to_target=(
+                float(np.abs(final.probs[i] - p_ref[i]).sum()) if cfg.kind == "defense_aware" else None
+            ),
+        )
+        for i, cfg in enumerate(row_cfgs)
+    ]
+    return [samples[j * n : (j + 1) * n] for j in range(len(cfgs))]
+
+
+def attack_set(
+    model: Model,
+    sources: list[np.ndarray],
+    cfg: AttackConfig,
+    exemplars: dict[int, np.ndarray] | None = None,
+) -> list[AdversarialSample]:
+    """Attack every source as cfg says: attack_sets for one attack, one AdversarialSample per source."""
+    return attack_sets(model, sources, [cfg], exemplars)[0]
 
 
 def run_attack(
@@ -172,40 +282,8 @@ def run_attack(
     cfg: AttackConfig,
     exemplars: dict[int, np.ndarray] | None = None,
 ) -> AdversarialSample:
-    """Attack one source x as cfg says; the one entry point of every attack kind.
-
-    FGSM escapes the source's predicted class. cw_l2 and defense_aware
-    descend toward select_target's target, which must differ from it;
-    defense_aware also needs exemplars[target], a benign input classified
-    as the target (see pick_exemplars), to anchor its L1 term.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    ref = model.predict(x)
-    src = target = ref.top_class
-    target_probs = None
-    if cfg.kind == "fgsm":
-        perturbed = np.clip(x + cfg.eps * np.sign(input_gradient(model, x, CrossEntropyLoss(src))), 0.0, 1.0)
-    else:
-        target = select_target(ref, cfg.target_mode)
-        if target == src:
-            raise AttackError(f"every class ties, so no target differs from the source class {src}")
-        if cfg.kind == "defense_aware":
-            anchor = model.predict(exemplars[target]) if exemplars and target in exemplars else None
-            if anchor is None or anchor.top_class != target:
-                raise AttackError(f"defense_aware needs a benign exemplar classified as target class {target}")
-            target_probs = anchor.probs
-        perturbed = _targeted_descent(model, x, target, cfg, target_probs)
-    final = model.predict(perturbed)
-    return AdversarialSample(
-        original=x.copy(),
-        perturbed=perturbed,
-        target_class=target,  # for fgsm, the class being escaped
-        success=final.top_class != src if cfg.kind == "fgsm" else final.top_class == target,
-        l2_distortion=l2_distortion(perturbed, x),
-        kind=cfg.kind,
-        source_class=src,
-        attack_l1_to_target=None if target_probs is None else float(np.abs(final.probs - target_probs).sum()),
-    )
+    """Attack one source x as cfg says: attack_set on a set of one."""
+    return attack_set(model, [x], cfg, exemplars)[0]
 
 
 def pick_exemplars(model: Model, dataset) -> dict[int, np.ndarray]:
@@ -214,12 +292,12 @@ def pick_exemplars(model: Model, dataset) -> dict[int, np.ndarray]:
     The most stably classified exemplar is the natural anchor for the
     defense_aware L1 term.
     """
+    probs = model.predict_batch(dataset.images).probs
     best: dict[int, tuple[float, np.ndarray]] = {}
-    for img, lab in zip(dataset.images, dataset.labels):
-        out = model.predict(img)
-        if out.top_class != lab:
+    for img, lab, p in zip(dataset.images, dataset.labels, probs):
+        if int(np.argmax(p)) != lab:
             continue
-        conf = float(out.probs[lab])
+        conf = float(p[lab])
         if lab not in best or conf > best[lab][0]:
             best[lab] = (conf, img)
     return {lab: img for lab, (conf, img) in best.items()}

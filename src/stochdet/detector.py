@@ -152,10 +152,10 @@ def noisy_passes(
     (read-only) input to it, which the layers before would recompute bit
     for bit.
     """
-    trace = model.forward_trace(x)
+    trace = model.forward_trace(np.asarray(x)[None])
     for shared in trace.inputs[1:-1]:  # inputs[0] is the caller's x, inputs[-1] the logits
         shared.flags.writeable = False
-    ref = trace.output
+    ref = trace.output[0]
     budget = noise_budget(confidence(ref), noise)
 
     def plan(base_seed: int, i: int) -> SparsificationPlan:
@@ -164,7 +164,7 @@ def noisy_passes(
     def distance(base_seed: int, i: int) -> float:
         p = plan(base_seed, i)
         start = min(p.masks, default=0)
-        return l1_distance(noisy_forward(model, p, trace.inputs[start], start), ref)
+        return l1_distance(noisy_forward(model, p, trace.inputs[start][0], start), ref)
 
     return ref, plan, distance
 

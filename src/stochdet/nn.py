@@ -1,18 +1,32 @@
-"""Dense tensor layers and reverse-mode gradients.
+"""Dense tensor layers and reverse-mode gradients, batch-first.
 
-Tensors are plain ``numpy.ndarray`` in float64, row-major. Convolutions
-are valid (no padding); pooling is a fixed 2x2/stride-2 max. Every layer
-has a forward function and a matching backward that propagates gradients
-to the input. ``relu_backward`` and ``maxpool2d_backward`` return ``dx``;
-``conv2d_backward`` and ``dense_backward`` return ``(dx, {"w": dw, "b": db})``,
-the form ``model.Trace.backward`` stores.
+Tensors are plain ``numpy.ndarray`` in float64, row-major, with a leading
+batch axis: every layer maps x[N, ...] to one output row per input row, and
+one input is a batch of one. Convolutions are valid (no padding); pooling
+is a fixed 2x2/stride-2 max. Every layer has a forward and a backward that
+propagates gradients to the input. ``relu_backward`` and
+``maxpool2d_backward`` return ``dx``; ``conv2d_backward`` and
+``dense_backward`` return ``(dx, {"w": dw, "b": db})`` with one gradient row
+per sample, skipping ``dx`` or the parameter gradients (None) on request.
+``conv2d_backward`` gathers its input columns again rather than have the
+forward keep them, which holds a training step's memory down.
+
+Byte identity: each row of a batch is, byte for byte, that row run alone.
+conv2d runs the stacked per-row matmuls ``W @ cols[N,K,P]``,
+``dy[N] @ cols[N].T`` and ``W.T @ dy[N]``, and dense the stacked gemv
+``W @ h[N,n,1]``: one BLAS call per row, as a batch of one makes. A flat
+GEMM over the batch (``W @ cols[K, N*P]``, ``h @ W.T``) changes the
+summation order with N, and so does ``np.sum`` over the batch axis; callers
+sum per-row parameter gradients in sample order (``acc = g[0].copy();
+acc += g[r]``). Every other reduction runs along a row's own last axis.
 
 Weight masks: ``conv2d_forward`` and ``dense_forward`` accept an optional
-0/1 mask over the weight tensor. Masking is implemented by multiplying
-the weights by the mask before use, so a masked pass is bitwise equal to
-a dense pass over a copy of the model whose masked weights are zero.
-Masked passes never run a backward, so the backward functions take no
-mask; only a cached forward (training and attack gradients) feeds them.
+0/1 mask over the weight tensor, shared by every row. Masking is
+implemented by multiplying the weights by the mask before use, so a masked
+pass is bitwise equal to a dense pass over a copy of the model whose masked
+weights are zero. Masked passes never run a backward, so the backward
+functions take no mask; only a cached forward (training and attack
+gradients) feeds them.
 """
 
 from __future__ import annotations
@@ -51,13 +65,12 @@ def conv2d_forward(
     b: np.ndarray,
     stride: int = 1,
     mask: np.ndarray | None = None,
-    cache: dict | None = None,
 ) -> np.ndarray:
-    """Valid cross-correlation of x[C_in,H,W] with w[C_out,C_in,kH,kW]."""
+    """Valid cross-correlation of each x[n] in x[N,C_in,H,W] with w[C_out,C_in,kH,kW]."""
     x, w, b = _as_f64(x), _as_f64(w), _as_f64(b)
-    if x.ndim != 3 or w.ndim != 4:
-        raise ShapeError(f"conv2d expects 3-d input and 4-d weights, got {x.shape} and {w.shape}")
-    c_in, h, wd = x.shape
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"conv2d expects a 4-d input batch and 4-d weights, got {x.shape} and {w.shape}")
+    n, c_in, h, wd = x.shape
     c_out, c_in_w, kh, kw = w.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv2d input has {c_in} channels but weights expect {c_in_w}")
@@ -65,26 +78,25 @@ def conv2d_forward(
         raise ShapeError(f"conv2d bias shape {b.shape} does not match {c_out} filters")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be positive, got {stride}")
-    h_out = (h - kh) // stride + 1
-    w_out = (wd - kw) // stride + 1
     if h - kh < 0 or wd - kw < 0:
         raise ShapeError(f"conv2d kernel {kh}x{kw} does not fit input {h}x{wd}")
 
-    cols = _im2col(x, kh, kw, stride, h_out, w_out)
-    w_eff = _apply_mask(w, mask)
-    y = w_eff.reshape(c_out, -1) @ cols + b[:, None]
-    if cache is not None:
-        cache["cols"] = cols
-    return y.reshape(c_out, h_out, w_out)
+    y = _apply_mask(w, mask).reshape(c_out, -1) @ _im2col(x, kh, kw, stride)
+    y += b[:, None]
+    return y.reshape(n, c_out, (h - kh) // stride + 1, (wd - kw) // stride + 1)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """(N, C_in*kH*kW, positions), C-contiguous so that each row's matmul is one BLAS call."""
+    return x.ravel()[_batch_patch_index(x.shape, kh, kw, stride)]
 
 
 @lru_cache(maxsize=64)
-def _patch_index(x_shape: tuple, kh: int, kw: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into x of every (channel, kernel row, kernel col, output position).
+def _patch_index(x_shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat indices into one row x[C,H,W] of every (channel, kernel row, kernel col, output position).
 
-    Returns (gather, scatter): gather is laid out as the im2col matrix,
-    rows in (channel, row, col) order; scatter lists the same indices with
-    the kernel offset outermost, the order in which _col2im sums them.
+    Laid out as the im2col matrix, (C*kH*kW, positions), rows in (channel,
+    row, col) order.
     """
     c_in, h, wd = x_shape
     h_out = (h - kh) // stride + 1
@@ -92,17 +104,18 @@ def _patch_index(x_shape: tuple, kh: int, kw: int, stride: int) -> tuple[np.ndar
     rows = np.arange(kh)[:, None, None, None] + stride * np.arange(h_out)[None, None, :, None]
     cols = np.arange(kw)[None, :, None, None] + stride * np.arange(w_out)[None, None, None, :]
     idx = (np.arange(c_in)[:, None, None, None, None] * (h * wd) + rows * wd + cols).reshape(
-        c_in, kh, kw, h_out, w_out
+        c_in * kh * kw, h_out * w_out
     )
-    gather = idx.reshape(c_in * kh * kw, h_out * w_out)
-    scatter = idx.transpose(1, 2, 0, 3, 4).ravel()
-    gather.flags.writeable = scatter.flags.writeable = False
-    return gather, scatter
+    idx.flags.writeable = False
+    return idx
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    gather, _ = _patch_index(x.shape, kh, kw, stride)
-    return x.ravel()[gather]
+@lru_cache(maxsize=16)
+def _batch_patch_index(x_shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
+    """_patch_index of every row of a batch x[N,C,H,W] as flat indices into x: (N, C*kH*kW, positions)."""
+    idx = np.arange(x_shape[0])[:, None, None] * math.prod(x_shape[1:]) + _patch_index(x_shape[1:], kh, kw, stride)
+    idx.flags.writeable = False
+    return idx
 
 
 def conv2d_backward(
@@ -110,33 +123,29 @@ def conv2d_backward(
     x: np.ndarray,
     w: np.ndarray,
     stride: int,
-    cache: dict,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients (dx, {"w": dw, "b": db}) of the mask-free conv2d_forward call that filled cache."""
+    *,
+    input_grad: bool = True,
+    param_grads: bool = True,
+) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
+    """Gradients (dx, {"w": dw[N,...], "b": db[N,C_out]}) of a mask-free conv2d_forward of x."""
     dy = _as_f64(dy)
-    c_out, c_in, kh, kw = w.shape
-    h_out, w_out = dy.shape[1], dy.shape[2]
-    cols = cache["cols"]
-    dy_flat = dy.reshape(c_out, -1)
-    dw = (dy_flat @ cols.T).reshape(w.shape)
-    db = dy_flat.sum(axis=1)
-    dcols = _as_f64(w).reshape(c_out, -1).T @ dy_flat
-    dx = _col2im(dcols, x.shape, kh, kw, stride, h_out, w_out)
-    return dx, {"w": dw, "b": db}
+    n = dy.shape[0]
+    c_out, _, kh, kw = w.shape
+    dy_flat = dy.reshape(n, c_out, -1)
+    dw = (dy_flat @ _im2col(x, kh, kw, stride).transpose(0, 2, 1)).reshape(n, *w.shape) if param_grads else None
+    dx = _col2im(_as_f64(w).reshape(c_out, -1).T @ dy_flat, x.shape, kh, kw, stride) if input_grad else None
+    return dx, ({"w": dw, "b": dy_flat.sum(axis=2)} if param_grads else None)
 
 
-def _col2im(
-    dcols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, h_out: int, w_out: int
-) -> np.ndarray:
+def _col2im(dcols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int) -> np.ndarray:
     """Sum each column entry back onto the input position it was read from.
 
-    Every input position adds its contributions in kernel-offset order,
-    starting from 0.0, as a loop of one strided add per offset would.
+    bincount adds in array order, where each position's entries come in
+    kernel-offset order: every position sums from 0.0 in that order, as a
+    loop of one strided add per offset would.
     """
-    c_in = x_shape[0]
-    _, scatter = _patch_index(x_shape, kh, kw, stride)
-    per_offset = dcols.reshape(c_in, kh * kw, h_out * w_out).transpose(1, 0, 2).ravel()
-    return np.bincount(scatter, weights=per_offset, minlength=math.prod(x_shape)).reshape(x_shape)
+    index = _batch_patch_index(x_shape, kh, kw, stride).ravel()
+    return np.bincount(index, weights=dcols.ravel(), minlength=math.prod(x_shape)).reshape(x_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -151,39 +160,39 @@ def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _as_f64(dy) * (x > 0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def _pool_index(x_shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into x of each 2x2 window, one row per output, and the offsets within a row."""
-    c, h, w = x_shape
-    windows = np.arange(c * h * w).reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+    """Flat indices into x[N,C,H,W] of each 2x2 window, one row per output, and the offsets within a window."""
+    n, c, h, w = x_shape
+    windows = np.arange(n * c * h * w).reshape(n * c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
     offsets = np.array([0, 1, w, w + 1])
     windows.flags.writeable = offsets.flags.writeable = False
     return windows, offsets
 
 
 def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """2x2 max pooling with stride 2; extents must be even.
+    """2x2 max pooling with stride 2 over x[N,C,H,W]; extents must be even.
 
     Each output is its window's first maximum in (row, col) order. With a
     cache, the positions backward needs are recorded as well.
     """
     x = _as_f64(x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool2d expects a 3-d tensor, got shape {x.shape}")
-    c, h, w = x.shape
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d expects a 4-d input batch, got shape {x.shape}")
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
     if cache is None:
         # np.maximum returns its second operand on ties, so folding each later
         # window slice in as the first operand keeps the first maximum (+0 vs -0)
-        out = np.maximum(x[:, ::2, 1::2], x[:, ::2, ::2])
-        np.maximum(x[:, 1::2, ::2], out, out=out)
-        return np.maximum(x[:, 1::2, 1::2], out, out=out)
+        out = np.maximum(x[..., ::2, 1::2], x[..., ::2, ::2])
+        np.maximum(x[..., 1::2, ::2], out, out=out)
+        return np.maximum(x[..., 1::2, 1::2], out, out=out)
     windows, offsets = _pool_index(x.shape)
     flat = x.ravel()
     # the first maximum of each window, as argmax picks it
     pos = cache["pos"] = windows[:, 0] + offsets[flat[windows].argmax(axis=1)]
-    return flat[pos].reshape(c, h // 2, w // 2)
+    return flat[pos].reshape(x.shape[0], x.shape[1], h // 2, w // 2)
 
 
 def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict) -> np.ndarray:
@@ -200,24 +209,25 @@ def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict) -> np.ndarray
 def dense_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Affine map w @ x + b for x flattened row-major to a vector."""
-    x, w, b = _as_f64(x).ravel(), _as_f64(w), _as_f64(b)
-    m, n = w.shape
-    if x.size != n:
-        raise ShapeError(f"dense input has {x.size} values but weights expect {n}")
+    """Affine map w @ x[n] + b for each row of x[N, ...], flattened row-major: y[N, m]."""
+    x, w, b = _as_f64(x), _as_f64(w), _as_f64(b)
+    m, n_in = w.shape
+    if math.prod(x.shape[1:]) != n_in:
+        raise ShapeError(f"dense input has {math.prod(x.shape[1:])} values but weights expect {n_in}")
     if b.shape != (m,):
         raise ShapeError(f"dense bias shape {b.shape} does not match {m} outputs")
-    return _apply_mask(w, mask) @ x + b
+    return (_apply_mask(w, mask) @ x.reshape(x.shape[0], n_in, 1))[:, :, 0] + b
 
 
-def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Gradients (dx, {"w": dw, "b": db}) of a mask-free dense_forward."""
+def dense_backward(
+    dy: np.ndarray, x: np.ndarray, w: np.ndarray, *, input_grad: bool = True, param_grads: bool = True
+) -> tuple[np.ndarray | None, dict[str, np.ndarray] | None]:
+    """Gradients (dx, {"w": dw[N,m,n], "b": db[N,m]}) of a mask-free dense_forward."""
     dy = _as_f64(dy)
-    x_flat = _as_f64(x).ravel()
-    dw = np.outer(dy, x_flat)
-    db = dy.copy()
-    dx = _as_f64(w).T @ dy
-    return dx.reshape(np.shape(x)), {"w": dw, "b": db}
+    # one outer product per row, as np.outer forms it
+    grads = {"w": dy[:, :, None] * _as_f64(x).reshape(len(dy), 1, -1), "b": dy.copy()} if param_grads else None
+    dx = (_as_f64(w).T @ dy[:, :, None]).reshape(np.shape(x)) if input_grad else None
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,11 @@ def dense_backward(dy: np.ndarray, x: np.ndarray, w: np.ndarray) -> tuple[np.nda
 
 @dataclass
 class ProbVector:
-    """Classification output: normalized probabilities plus raw logits."""
+    """Classification output: normalized probabilities plus raw logits.
+
+    probs and logits are (C,) for one input or (N, C) for a batch, one row
+    per input; indexing a batch gives one input's ProbVector.
+    """
 
     probs: np.ndarray
     logits: np.ndarray
@@ -234,13 +248,24 @@ class ProbVector:
     def __post_init__(self) -> None:
         self.probs = _as_f64(self.probs)
         self.logits = _as_f64(self.logits)
-        if self.probs.shape != self.logits.shape or self.probs.ndim != 1:
+        if self.probs.shape != self.logits.shape or self.probs.ndim not in (1, 2):
             raise ShapeError(
-                f"probs {self.probs.shape} and logits {self.logits.shape} must be equal-length vectors"
+                f"probs {self.probs.shape} and logits {self.logits.shape} must be equal-length vectors or batches"
             )
-        total = float(self.probs.sum())
-        if not np.isfinite(total) or abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        totals = np.atleast_1d(self.probs.sum(axis=-1))
+        bad = ~(np.abs(totals - 1.0) <= 1e-9)  # NaN totals fail too
+        if bad.any():
+            raise ValueError(f"probabilities sum to {float(totals[bad][0])!r}, not 1")
+
+    @classmethod
+    def _checked(cls, probs: np.ndarray, logits: np.ndarray) -> "ProbVector":
+        """A ProbVector of rows known to be normalized, without __post_init__'s checks."""
+        out = object.__new__(cls)
+        out.probs, out.logits = probs, logits
+        return out
+
+    def __getitem__(self, i: int) -> "ProbVector":
+        return ProbVector._checked(self.probs[i], self.logits[i])
 
     @property
     def top_class(self) -> int:
@@ -248,39 +273,46 @@ class ProbVector:
 
 
 def softmax(logits: np.ndarray) -> ProbVector:
-    """Max-stabilized softmax; survives the large logits CW-style attacks produce."""
-    z = _as_f64(logits).ravel()
+    """Max-stabilized softmax along the last axis; survives the large logits CW-style attacks produce."""
+    z = _as_f64(logits)
     if not np.all(np.isfinite(z)):
         raise ValueError("softmax requires finite logits")
-    e = np.exp(z - z.max())
-    return ProbVector(probs=e / e.sum(), logits=z)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    # finite logits put a 1 in every row of e, so each row sums to 1 within rounding
+    return ProbVector._checked(e / e.sum(axis=-1, keepdims=True), z)
 
 
 def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """dlogits for a given dprobs through p = softmax(z)."""
+    """dlogits for a given dprobs through p = softmax(z), row by row."""
     p = _as_f64(probs)
     d = _as_f64(dprobs)
-    return p * (d - float(d @ p))
+    # a stacked (1,C) @ (C,1) matmul per row: the BLAS dot that d @ p runs on one row
+    return p * (d - (d[..., None, :] @ p[..., :, None])[..., 0])
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = _as_f64(logits).ravel()
-    shifted = z - z.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    z = _as_f64(logits)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
 # losses (all differentiable w.r.t. the network input)
 #
-# Each loss exposes value_and_grads(logits, probs, x) -> (value, dlogits, dx)
-# where dlogits seeds the network backward pass and dx is any extra gradient
-# contribution applied directly to the input (input-space penalty terms).
+# Each loss exposes value_and_grads(logits, probs, x) -> (values, dlogits, dx)
+# over a batch: logits and probs are (N, C) and x is (N, ...); values holds
+# one loss per row, dlogits seeds the network backward pass, and dx is any
+# extra gradient contribution applied directly to the input (input-space
+# penalty terms). A label or target is one class for every row or one per row.
 
 
-def _check_class(index: int, n_classes: int, what: str) -> int:
-    index = int(index)
-    if not 0 <= index < n_classes:
-        raise ValueError(f"{what} {index} out of range for {n_classes} classes")
+def _check_class(index, n_classes: int, what: str) -> np.ndarray:
+    index = np.asarray(index)
+    if index.dtype.kind not in "iu" or index.ndim > 1:
+        raise ValueError(f"{what} must be one class index or one per row, got {index!r}")
+    if index.size and not 0 <= index.min() <= index.max() < n_classes:
+        bad = index.min() if index.min() < 0 else index.max()
+        raise ValueError(f"{what} {bad} out of range for {n_classes} classes")
     return index
 
 
@@ -288,16 +320,17 @@ def _check_class(index: int, n_classes: int, what: str) -> int:
 class CrossEntropyLoss:
     """Negative log-likelihood of a reference label."""
 
-    label: int
+    label: int | np.ndarray
 
     def value_and_grads(
         self, logits: np.ndarray, probs: np.ndarray, x: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray | None]:
-        y = _check_class(self.label, logits.size, "label")
-        value = -float(log_softmax(logits)[y])
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        y = _check_class(self.label, logits.shape[-1], "label")
+        rows = np.arange(len(logits))
+        values = -log_softmax(logits)[rows, y]
         dlogits = probs.copy()
-        dlogits[y] -= 1.0
-        return value, dlogits, None
+        dlogits[rows, y] -= 1.0
+        return values, dlogits, None
 
 
 @dataclass
@@ -305,25 +338,27 @@ class MarginLoss:
     """Targeted logit margin max(max_{i != t} Z_i - Z_t, -k).
 
     Zero gradient once the target logit clears every other logit by at
-    least k, which is what lets the distortion term take over.
+    least k, which is what lets the distortion term take over. k is one
+    value for every row or one per row.
     """
 
-    target: int
+    target: int | np.ndarray
     k: float = 0.0
 
     def value_and_grads(
         self, logits: np.ndarray, probs: np.ndarray, x: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray | None]:
-        t = _check_class(self.target, logits.size, "target")
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        rows = np.arange(len(logits))
+        t = _check_class(self.target, logits.shape[-1], "target")
         others = logits.copy()
-        others[t] = -np.inf
-        runner_up = int(np.argmax(others))
-        gap = float(logits[runner_up] - logits[t])
+        others[rows, t] = -np.inf
+        runner_up = np.argmax(others, axis=-1)
+        gap = logits[rows, runner_up] - logits[rows, t]
+        live = gap > -self.k
         dlogits = np.zeros_like(logits)
-        if gap > -self.k:
-            dlogits[runner_up] = 1.0
-            dlogits[t] = -1.0
-        return max(gap, -self.k), dlogits, None
+        dlogits[rows, runner_up] = live  # 1.0 where the margin is live, else 0.0
+        dlogits[rows, t] -= live
+        return np.maximum(gap, -self.k), dlogits, None
 
 
 @dataclass
@@ -334,10 +369,11 @@ class CompositeLoss:
 
     ``p_ref`` is the (constant) output distribution of a benign exemplar
     of the target class; the L1 term pulls the attack's output toward it.
-    Subgradient of |.| is taken as 0 at exact zeros.
+    k, c, beta, p_ref and x0 are each one value for every row or one per
+    row. Subgradient of |.| is taken as 0 at exact zeros.
     """
 
-    target: int
+    target: int | np.ndarray
     k: float = 0.0
     c: float = 1.0
     beta: float = 0.0
@@ -346,15 +382,17 @@ class CompositeLoss:
 
     def value_and_grads(
         self, logits: np.ndarray, probs: np.ndarray, x: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray | None]:
-        margin = MarginLoss(self.target, self.k)
-        m_val, m_dlogits, _ = margin.value_and_grads(logits, probs, x)
-        p_ref = _as_f64(self.target_probs)
-        if p_ref.shape != probs.shape:
-            raise ShapeError(f"target_probs shape {p_ref.shape} does not match {probs.shape}")
-        diff = probs - p_ref
-        l1 = float(np.abs(diff).sum())
-        dlogits = self.c * m_dlogits + self.beta * softmax_vjp(probs, np.sign(diff))
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        c, beta = _as_f64(self.c), _as_f64(self.beta)
+        m_val, m_dlogits, _ = MarginLoss(self.target, self.k).value_and_grads(logits, probs, x)
+        values, dlogits = c * m_val, c[..., None] * m_dlogits
+        # a zero beta adds only signed zeros, which leave every byte of values and dlogits as it is
+        if beta.any():
+            p_ref = _as_f64(self.target_probs)
+            if p_ref.shape not in (probs.shape, probs.shape[1:]):
+                raise ShapeError(f"target_probs shape {p_ref.shape} does not match {probs.shape}")
+            diff = probs - p_ref
+            values = values + beta * np.abs(diff).sum(axis=-1)
+            dlogits = dlogits + beta[..., None] * softmax_vjp(probs, np.sign(diff))
         delta = _as_f64(x) - _as_f64(self.x0)
-        value = self.c * m_val + self.beta * l1 + float((delta * delta).sum())
-        return value, dlogits, 2.0 * delta
+        return values + (delta * delta).reshape(len(delta), -1).sum(axis=1), dlogits, 2.0 * delta

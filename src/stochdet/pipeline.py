@@ -30,9 +30,9 @@ from .attacks import (
     AttackConfig,
     AttackError,
     AdversarialSample,
+    attack_sets,
     load_adversarial_set,
     pick_exemplars,
-    run_attack,
     save_adversarial_set,
 )
 from .data import DEFAULT_IMAGE_SIZE, MIN_SYNTH_IMAGE_SIZE, Dataset, IdxFormatError, load_idx_dataset, synth_dataset
@@ -324,14 +324,10 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: i
 
 
 def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list[np.ndarray]:
-    sources = []
-    for i in range(start, len(test)):
-        if len(sources) >= count:
-            break
-        img, lab = test.images[i], test.labels[i]
-        if model.predict(img).top_class == lab:
-            sources.append(img)
-    return sources
+    """The first `count` test images from `start` on that the model classifies correctly."""
+    images = test.images[start:]
+    hits = model.predict_batch(images).probs.argmax(axis=1) == np.asarray(test.labels[start:])
+    return [img for img, hit in zip(images, hits) if hit][:count]
 
 
 class RunState:
@@ -479,8 +475,8 @@ def stage_attack(state: RunState) -> str:
     exemplars = pick_exemplars(model, test_set)
     sources = _attack_sources(model, test_set, cfg.calib_count + cfg.benign_eval_count, cfg.attack_count)
     adv_sets, lines = {}, []
-    for spec in cfg.attacks:
-        samples = adv_sets[spec.name] = [run_attack(model, x, spec, exemplars) for x in sources]
+    for spec, samples in zip(cfg.attacks, attack_sets(model, sources, cfg.attacks, exemplars)):
+        adv_sets[spec.name] = samples
         path = state.out / f"adv_{spec.name}.bin"
         meta = {"name": spec.name, "kind": spec.kind, "param": spec.param}
         path.write_bytes(save_adversarial_set(samples, provenance(cfg), attack_meta=meta))
@@ -605,7 +601,7 @@ def evaluate_attack_sets(
         )
         mean_l2 = float(np.mean([s.l2_distortion for s in successful])) if successful else None
         mean_conf = (
-            float(np.mean([float(np.max(model.predict(s.perturbed).probs)) for s in successful]))
+            float(np.mean(model.predict_batch([s.perturbed for s in successful]).probs.max(axis=1)))
             if successful
             else None
         )

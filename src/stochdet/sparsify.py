@@ -112,23 +112,24 @@ def draw_plan(
 
 
 def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray, start: int = 0) -> ProbVector:
-    """Forward pass with the plan's masks on every noise-eligible layer.
+    """Forward pass of one input with the plan's masks on every noise-eligible layer.
 
-    x is the input to layer `start` (see Model.forward_trace), so a pass
-    can begin at its first masked layer from a reference trace's input to
-    it; starting after a masked layer is refused.
+    x is one input to layer `start` (a row of Model.forward_trace's batch),
+    so a pass can begin at its first masked layer from a reference trace's
+    input to it; starting after a masked layer is refused. It runs as a
+    batch of one.
     """
     if plan.model_fingerprint != model.fingerprint():
         raise PlanMismatch("plan was drawn for a different model")
     if start > min(plan.masks, default=start):
         raise ValueError(f"a pass starting at layer {start} would skip masked layer {min(plan.masks)}")
-    return model.forward_trace(x, masks=plan.masks, start=start).output
+    return model.forward_trace(np.asarray(x)[None], masks=plan.masks, start=start).output[0]
 
 
 def noisy_activation_forward(
     model: Model, level: float, x: np.ndarray, pass_seed: int
 ) -> ProbVector:
-    """Study mode: each eligible relu output v becomes v*(1+d), d~U(-a, a)."""
+    """Study mode, one input: each eligible relu output v becomes v*(1+d), d~U(-a, a)."""
     if not 0.0 <= level < 1.0:
         raise ValueError(f"activation noise level must be in [0, 1), got {level}")
     factors: dict[int, np.ndarray] = {}
@@ -138,4 +139,4 @@ def noisy_activation_forward(
                 shape = model.layer_input_shapes[idx]  # relu preserves shape
                 delta = substream(pass_seed, "act", idx).uniform(-level, level, size=shape)
                 factors[idx] = 1.0 + delta
-    return model.forward_trace(x, act_factors=factors).output
+    return model.forward_trace(np.asarray(x)[None], act_factors=factors).output[0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from stochdet.attacks import AttackConfig, pick_exemplars, run_attack
+from stochdet.attacks import AttackConfig, attack_set, pick_exemplars
 from stochdet.data import synth_dataset
 from stochdet.detector import calibrate, calibration_distances
 from stochdet.model import TrainConfig, conv_pool_arch, profile_thresholds, train
@@ -107,7 +107,7 @@ def fixture_exemplars(fixture_model, fixture_data):
 
 def _cw_set(model, sources, k, count):
     cfg = AttackConfig(kind="cw_l2", target_mode="next", k=k, steps=CW_STEPS, step_size=CW_STEP_SIZE)
-    return [run_attack(model, x, cfg) for x in sources[:count]]
+    return attack_set(model, sources[:count], cfg)
 
 
 @pytest.fixture(scope="session")
@@ -125,7 +125,7 @@ def defense_aware_sets(fixture_model, attack_sources, fixture_exemplars):
             kind="defense_aware", target_mode="next", k=2.0, beta=beta,
             steps=CW_STEPS, step_size=CW_STEP_SIZE,
         )
-        sets[beta] = [run_attack(fixture_model, x, cfg, fixture_exemplars) for x in attack_sources[:120]]
+        sets[beta] = attack_set(fixture_model, attack_sources[:120], cfg, fixture_exemplars)
     return sets
 
 

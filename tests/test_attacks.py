@@ -12,6 +12,8 @@ from stochdet.attacks import (
     AdversarialSample,
     AttackConfig,
     AttackError,
+    attack_set,
+    attack_sets,
     l2_distortion,
     load_adversarial_set,
     run_attack,
@@ -328,3 +330,53 @@ def test_adversarial_set_fuzz_yields_typed_error_or_samples(data):
         return
     assert isinstance(samples, list)
     assert all(isinstance(s, AdversarialSample) for s in samples)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        AttackConfig(kind="fgsm", eps=0.1),
+        AttackConfig(kind="cw_l2", k=2.0, steps=40, step_size=0.02),
+        AttackConfig(kind="defense_aware", k=2.0, beta=0.1, steps=40, step_size=0.02),
+    ],
+    ids=lambda cfg: cfg.kind,
+)
+def test_attack_set_equals_run_attack_per_source_bytewise(fixture_model, attack_sources, fixture_exemplars, cfg):
+    sources = attack_sources[:6]
+    batched = attack_set(fixture_model, sources, cfg, fixture_exemplars)
+    assert len(batched) == len(sources)
+    for x, b in zip(sources, batched):
+        one = run_attack(fixture_model, x, cfg, fixture_exemplars)
+        assert b.original.tobytes() == one.original.tobytes()
+        assert b.perturbed.tobytes() == one.perturbed.tobytes()
+        rest = ("target_class", "success", "l2_distortion", "kind", "source_class", "attack_l1_to_target")
+        assert [getattr(b, f) for f in rest] == [getattr(one, f) for f in rest]
+    assert attack_set(fixture_model, [], cfg, fixture_exemplars) == []
+
+
+def test_attack_sets_mixes_attacks_in_blocks_bytewise(fixture_model, attack_sources, fixture_exemplars):
+    # 5 sources x 3 descents of 30 steps span blocks of BATCH_ROWS rows that mix cw_l2 and
+    # defense_aware rows; the 20-step attack runs apart, and the fgsm rows share one gradient
+    cfgs = [
+        AttackConfig(kind="fgsm", eps=0.1),
+        AttackConfig(kind="cw_l2", k=2.0, steps=30, step_size=0.02),
+        AttackConfig(kind="defense_aware", k=2.0, beta=0.1, steps=30, step_size=0.03),
+        AttackConfig(kind="cw_l2", target_mode="least_likely", k=0.0, c=2.0, steps=30),
+        AttackConfig(kind="cw_l2", k=5.0, steps=20),
+    ]
+    sources = attack_sources[:5]
+    results = attack_sets(fixture_model, sources, cfgs, fixture_exemplars)
+    assert [len(r) for r in results] == [len(sources)] * len(cfgs)
+    for cfg, samples in zip(cfgs, results):
+        for x, b in zip(sources, samples):
+            one = run_attack(fixture_model, x, cfg, fixture_exemplars)
+            assert b.perturbed.tobytes() == one.perturbed.tobytes()
+            assert (b.target_class, b.success, b.l2_distortion, b.attack_l1_to_target) == (
+                one.target_class, one.success, one.l2_distortion, one.attack_l1_to_target
+            )
+
+
+def test_attack_set_applies_the_per_source_rules(fixture_model, attack_sources, fixture_exemplars):
+    cfg = AttackConfig(kind="defense_aware", k=2.0, beta=0.1, steps=5)
+    with pytest.raises(AttackError, match="benign exemplar"):
+        attack_set(fixture_model, attack_sources[:4], cfg, exemplars=None)

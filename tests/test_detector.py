@@ -214,22 +214,22 @@ def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_nois
     rng = np.random.default_rng(22)
     for trial in range(30):
         x = rng.uniform(0, 1, (1, 18, 18))
-        reference = model.forward_trace(x)
+        reference = model.forward_trace(x[None])
         prefix = [a.copy() for a in reference.inputs]
         plan = draw_plan(model, table, float(rng.uniform(0, 0.95)), int(rng.integers(2**63)))
         assert min(plan.masks) == start
-        from_prefix = noisy_forward(model, plan, reference.inputs[start], start)
-        full = model.forward_trace(x, masks=plan.masks)
-        assert from_prefix.probs.tobytes() == full.probs.tobytes()
-        assert from_prefix.logits.tobytes() == full.logits.tobytes()
+        from_prefix = noisy_forward(model, plan, reference.inputs[start][0], start)
+        full = model.forward_trace(x[None], masks=plan.masks)
+        assert from_prefix.probs.tobytes() == full.probs[0].tobytes()
+        assert from_prefix.logits.tobytes() == full.logits[0].tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(reference.inputs, prefix))
         # the detector's own passes: the same distances as full masked forwards
         ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig())
         for i in (1, 2, 3):
-            expected = l1_distance(model.forward_trace(x, masks=plan_of(trial, i).masks).probs, ref)
+            expected = l1_distance(model.forward_trace(x[None], masks=plan_of(trial, i).masks).probs[0], ref)
             assert distance(trial, i) == expected
     with pytest.raises(ValueError, match="would skip masked layer"):
-        noisy_forward(model, plan, full.inputs[start + 1], start + 1)
+        noisy_forward(model, plan, full.inputs[start + 1][0], start + 1)
 
 
 def test_calibration_distances_keep_the_round_major_order():

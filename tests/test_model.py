@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stochdet import nn
 from stochdet.data import synth_dataset
+from stochdet.rng import substream
 from stochdet.model import (
     LayerSpec,
     ModelFormatError,
@@ -21,6 +22,7 @@ from stochdet.model import (
     filter_thresholds,
     init_model,
     load_model,
+    loss_gradients,
     save_model,
     train,
 )
@@ -57,6 +59,49 @@ def test_training_deterministic_in_seed():
         np.testing.assert_array_equal(a.model.params[idx]["w"], b.model.params[idx]["w"])
 
 
+def _train_one_sample_at_a_time(dataset, arch, hyper):
+    """Oracle: minibatch SGD with one forward and backward per sample, gradients summed in sample order."""
+    model = init_model(arch, dataset.images[0].shape, dataset.class_count, hyper.seed)
+    epoch_losses = []
+    for epoch in range(hyper.epochs):
+        order = substream(hyper.seed, "shuffle", epoch).permutation(len(dataset))
+        total = 0.0
+        for start in range(0, len(dataset), hyper.batch_size):
+            batch = order[start : start + hyper.batch_size]
+            acc, batch_loss = {}, 0.0
+            for i in batch:
+                loss = nn.CrossEntropyLoss(dataset.labels[i])
+                _, values, _, grads = loss_gradients(model, dataset.images[i][None], loss)
+                batch_loss += float(values[0])
+                for idx, g in grads.items():
+                    if idx not in acc:
+                        acc[idx] = {"w": g["w"][0].copy(), "b": g["b"][0].copy()}
+                    else:
+                        acc[idx]["w"] += g["w"][0]
+                        acc[idx]["b"] += g["b"][0]
+            for idx, g in acc.items():
+                model.params[idx]["w"] -= hyper.lr / len(batch) * g["w"]
+                if hyper.weight_decay:
+                    model.params[idx]["w"] -= hyper.lr * hyper.weight_decay * model.params[idx]["w"]
+                model.params[idx]["b"] -= hyper.lr / len(batch) * g["b"]
+            total += batch_loss
+        epoch_losses.append(total / len(dataset))
+    return model, epoch_losses
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 16])
+def test_batched_training_equals_the_per_sample_oracle_bytewise(batch_size):
+    train_set = synth_dataset(23, 45)
+    arch = conv_pool_arch((4, 8), 3, 4)
+    hyper = TrainConfig(epochs=2, seed=3, batch_size=batch_size)
+    result = train(train_set, arch, hyper)
+    oracle, losses = _train_one_sample_at_a_time(train_set, arch, hyper)
+    assert result.epoch_losses == losses
+    for idx in oracle.parametric_layers():
+        for name in ("w", "b"):
+            assert result.model.params[idx][name].tobytes() == oracle.params[idx][name].tobytes()
+
+
 def test_divergence_aborts_with_report():
     train_set, _ = small_sets()
     arch = conv_pool_arch((4, 8), 3, 4)
@@ -85,7 +130,7 @@ def test_uniform_output_when_final_dense_zeroed(fixture_model):
 def test_predict_equals_manual_layer_composition(fixture_model, fixture_data):
     _, test_set = fixture_data
     x = test_set.images[0]
-    out = x
+    out = x[None]
     for idx, spec in enumerate(fixture_model.layers):
         if spec.kind == "conv2d":
             p = fixture_model.params[idx]
@@ -99,7 +144,7 @@ def test_predict_equals_manual_layer_composition(fixture_model, fixture_data):
             out = nn.dense_forward(out, p["w"], p["b"])
         elif spec.kind == "softmax":
             out = nn.softmax(out).probs
-    np.testing.assert_array_equal(fixture_model.predict(x).probs, out)
+    np.testing.assert_array_equal(fixture_model.predict(x).probs, out[0])
 
 
 def test_fixture_accuracy_gate_on_predictions(fixture_model, fixture_data):

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochdet import nn
-from stochdet.model import LayerSpec, Model, init_model, input_gradient, loss_gradients, loss_value
+from stochdet.model import LayerSpec, Model, conv_pool_arch, init_model, input_gradient, loss_gradients, loss_value
 from stochdet.rng import substream
 
 # gradient checks: relative tolerance with a small absolute floor, since
@@ -54,13 +54,13 @@ def fd_probe_is_smooth(model, x, losses, margin=5e-3):
     probe whose +-h wiggle crosses an activation boundary or a loss clamp
     compares a one-sided slope against the analytic subgradient.
     """
-    trace = model.forward_trace(x)
+    trace = model.forward_trace(x[None])
     for idx, spec in enumerate(model.layers):
         if spec.kind == "relu":
             if np.abs(trace.inputs[idx]).min() < margin:
                 return False
         elif spec.kind == "maxpool2d":
-            v = trace.inputs[idx]
+            v = trace.inputs[idx][0]
             c, h, w = v.shape
             windows = v.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
             top2 = np.sort(windows, axis=1)[:, -2:]
@@ -69,7 +69,7 @@ def fd_probe_is_smooth(model, x, losses, margin=5e-3):
             contested = (top2[:, 1] - top2[:, 0] < margin) & (top2[:, 1] > margin)
             if contested.any():
                 return False
-    logits = trace.logits
+    logits = trace.logits[0]
     for loss in losses:
         target = getattr(loss, "target", None)
         if target is None:
@@ -84,8 +84,8 @@ def fd_probe_is_smooth(model, x, losses, margin=5e-3):
         if p_ref is not None and p_ref.size:
             # an |.| kink only matters where some probability mass sits:
             # softmax tail components carry ~p_i-scale gradients either side
-            live = (trace.probs > 1e-3) | (p_ref > 1e-3)
-            if live.any() and np.abs(trace.probs - p_ref)[live].min() < 1e-3:
+            live = (trace.probs[0] > 1e-3) | (p_ref > 1e-3)
+            if live.any() and np.abs(trace.probs[0] - p_ref)[live].min() < 1e-3:
                 return False
     return True
 
@@ -98,7 +98,7 @@ def fd_probe_is_smooth(model, x, losses, margin=5e-3):
 def test_conv2d_scalar_scaling():
     x = np.ones((1, 3, 3))
     w = np.full((1, 1, 1, 1), 2.0)
-    y = nn.conv2d_forward(x, w, np.zeros(1))
+    y = nn.conv2d_forward(x[None], w, np.zeros(1))[0]
     assert y.shape == (1, 3, 3)
     np.testing.assert_array_equal(y, np.full((1, 3, 3), 2.0))
 
@@ -108,7 +108,7 @@ def test_conv2d_all_zero_mask_gives_bias():
     x = rng.normal(size=(2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     b = np.array([1.5, -2.0, 0.25])
-    y = nn.conv2d_forward(x, w, b, mask=np.zeros(w.size))
+    y = nn.conv2d_forward(x[None], w, b, mask=np.zeros(w.size))[0]
     for c in range(3):
         np.testing.assert_array_equal(y[c], np.full((3, 3), b[c]))
 
@@ -116,15 +116,15 @@ def test_conv2d_all_zero_mask_gives_bias():
 def test_conv2d_hand_computed_sliding_sums():
     x = np.arange(1.0, 10.0).reshape(1, 3, 3)
     w = np.ones((1, 1, 2, 2))
-    y = nn.conv2d_forward(x, w, np.zeros(1))
+    y = nn.conv2d_forward(x[None], w, np.zeros(1))[0]
     np.testing.assert_array_equal(y[0], [[12.0, 16.0], [24.0, 28.0]])
 
 
 def test_conv2d_rejects_shape_mismatch_with_dimension_report():
     with pytest.raises(nn.ShapeError, match="2 channels but weights expect 3"):
-        nn.conv2d_forward(np.ones((2, 4, 4)), np.ones((1, 3, 2, 2)), np.zeros(1))
+        nn.conv2d_forward(np.ones((1, 2, 4, 4)), np.ones((1, 3, 2, 2)), np.zeros(1))
     with pytest.raises(nn.ShapeError, match="does not fit"):
-        nn.conv2d_forward(np.ones((1, 2, 2)), np.ones((1, 1, 3, 3)), np.zeros(1))
+        nn.conv2d_forward(np.ones((1, 1, 2, 2)), np.ones((1, 1, 3, 3)), np.zeros(1))
 
 
 def test_conv2d_stride_2_matches_naive_loops():
@@ -132,7 +132,7 @@ def test_conv2d_stride_2_matches_naive_loops():
     x = rng.normal(size=(2, 7, 7))
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    y = nn.conv2d_forward(x, w, b, stride=2)
+    y = nn.conv2d_forward(x[None], w, b, stride=2)[0]
     expected = np.zeros_like(y)
     for f in range(3):
         for oh in range(3):
@@ -151,10 +151,9 @@ def test_conv2d_backward_dx_sums_in_kernel_offset_order(shape, kernel, stride):
     rng = substream(5, "col2im")
     x = rng.normal(size=shape)
     w = rng.normal(size=(3, shape[0], kernel, kernel))
-    cache = {}
-    y = nn.conv2d_forward(x, w, np.zeros(3), stride=stride, cache=cache)
+    y = nn.conv2d_forward(x[None], w, np.zeros(3), stride=stride)[0]
     dy = rng.normal(size=y.shape) * 10.0 ** rng.integers(-8, 9, size=y.shape)
-    dx, _ = nn.conv2d_backward(dy, x, w, stride, cache)
+    dx = nn.conv2d_backward(dy[None], x[None], w, stride)[0][0]
     dcols = (w.reshape(3, -1).T @ dy.reshape(3, -1)).reshape(shape[0], kernel, kernel, *y.shape[1:])
     expected = np.zeros(shape)
     h_out, w_out = y.shape[1:]
@@ -184,18 +183,18 @@ def test_relu_idempotent(x):
 
 
 def test_maxpool_constant_tensor():
-    y = nn.maxpool2d_forward(np.full((2, 4, 6), 3.25))
-    np.testing.assert_array_equal(y, np.full((2, 2, 3), 3.25))
+    y = nn.maxpool2d_forward(np.full((1, 2, 4, 6), 3.25))
+    np.testing.assert_array_equal(y, np.full((1, 2, 2, 3), 3.25))
 
 
 def test_maxpool_single_window():
-    y = nn.maxpool2d_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    np.testing.assert_array_equal(y, [[[4.0]]])
+    y = nn.maxpool2d_forward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    np.testing.assert_array_equal(y, [[[[4.0]]]])
 
 
 def test_maxpool_matches_bruteforce_windows():
     x = substream(4, "p").normal(size=(3, 4, 4))
-    y = nn.maxpool2d_forward(x)
+    y = nn.maxpool2d_forward(x[None])[0]
     for c in range(3):
         for i in range(2):
             for j in range(2):
@@ -203,19 +202,19 @@ def test_maxpool_matches_bruteforce_windows():
 
 
 def test_maxpool_gradient_goes_to_the_first_maximum():
-    x = np.array([[[1.0, 1.0, 0.0, 2.0], [1.0, 1.0, 2.0, 1.0]]])
+    x = np.array([[[[1.0, 1.0, 0.0, 2.0], [1.0, 1.0, 2.0, 1.0]]]])
     cache = {}
     y = nn.maxpool2d_forward(x, cache=cache)
-    np.testing.assert_array_equal(y, [[[1.0, 2.0]]])
-    dx = nn.maxpool2d_backward(np.array([[[5.0, 7.0]]]), x, cache)
-    np.testing.assert_array_equal(dx, [[[5.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]]])
+    np.testing.assert_array_equal(y, [[[[1.0, 2.0]]]])
+    dx = nn.maxpool2d_backward(np.array([[[[5.0, 7.0]]]]), x, cache)
+    np.testing.assert_array_equal(dx, [[[[5.0, 0.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0]]]])
 
 
 @pytest.mark.parametrize("values", [(-0.0, 0.0), (-0.0, 0.0, -1.0), (1.0, 2.0, -0.0, 0.0, 2.0), (np.inf, -np.inf, 3.0)])
 def test_cacheless_maxpool_is_the_first_maximum_bytewise(values):
     # every window drawn from few values, so most hold ties, and +0 and -0 compare equal
     rng = substream(5, "ties", len(values))
-    for shape in [(1, 2, 2), (3, 4, 6), (8, 16, 16), (2, 18, 2)]:
+    for shape in [(1, 1, 2, 2), (1, 3, 4, 6), (1, 8, 16, 16), (1, 2, 18, 2)]:
         for _ in range(20):
             x = np.asarray(values)[rng.integers(0, len(values), size=shape)]
             cached = nn.maxpool2d_forward(x, cache={})
@@ -226,7 +225,7 @@ def test_cacheless_maxpool_is_the_first_maximum_bytewise(values):
 
 def test_maxpool_rejects_odd_extent():
     with pytest.raises(nn.ShapeError, match="even extents"):
-        nn.maxpool2d_forward(np.ones((1, 3, 4)))
+        nn.maxpool2d_forward(np.ones((1, 1, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +234,14 @@ def test_maxpool_rejects_odd_extent():
 
 def test_dense_identity():
     x = np.array([1.0, -2.0, 3.0])
-    y = nn.dense_forward(x, np.eye(3), np.zeros(3))
+    y = nn.dense_forward(x[None], np.eye(3), np.zeros(3))[0]
     np.testing.assert_array_equal(y, x)
 
 
 def test_dense_all_zero_mask_gives_bias():
     w = substream(5, "d").normal(size=(2, 4))
     b = np.array([0.5, -0.5])
-    y = nn.dense_forward(np.ones(4), w, b, mask=np.zeros(8))
+    y = nn.dense_forward(np.ones((1, 4)), w, b, mask=np.zeros(8))[0]
     np.testing.assert_array_equal(y, b)
 
 
@@ -251,14 +250,14 @@ def test_dense_matches_loop_oracle():
     x = rng.normal(size=4)
     w = rng.normal(size=(3, 4))
     b = rng.normal(size=3)
-    y = nn.dense_forward(x, w, b)
+    y = nn.dense_forward(x[None], w, b)[0]
     for m in range(3):
         assert y[m] == pytest.approx(sum(w[m, n] * x[n] for n in range(4)) + b[m], abs=1e-12)
 
 
 def test_dense_rejects_mismatch():
     with pytest.raises(nn.ShapeError, match="5 values but weights expect 4"):
-        nn.dense_forward(np.ones(5), np.ones((3, 4)), np.zeros(3))
+        nn.dense_forward(np.ones((1, 5)), np.ones((3, 4)), np.zeros(3))
 
 
 def test_softmax_uniform_on_zeros():
@@ -322,10 +321,10 @@ def test_linear_layer_gradient_is_weight_row():
     arch = [LayerSpec("dense", out_features=3), LayerSpec("softmax")]
     model = init_model(arch, (1, 2, 2), 3, seed=1)
     x = substream(8, "x").normal(size=(1, 2, 2))
-    trace = model.forward_trace(x, cache=True)
+    trace = model.forward_trace(x[None], cache=True)
     for j in range(3):
-        seed_grad = np.zeros(3)
-        seed_grad[j] = 1.0
+        seed_grad = np.zeros((1, 3))
+        seed_grad[0, j] = 1.0
         dx, _ = trace.backward(seed_grad)
         np.testing.assert_allclose(dx.ravel(), model.params[0]["w"][j], atol=1e-12)
 
@@ -378,7 +377,7 @@ def test_param_gradients_match_finite_differences(make_model, shape):
     loss = nn.CrossEntropyLoss(label=1)
     # a weight nudge of FD_STEP moves each conv output by at most FD_STEP * max|x| < 2 * FD_STEP
     assert fd_probe_is_smooth(model, x, [loss], margin=2 * FD_STEP)
-    _, _, _, param_grads = loss_gradients(model, x, loss)
+    _, _, _, param_grads = loss_gradients(model, x[None], loss)
     assert sorted(param_grads) == model.parametric_layers()
     for idx in model.parametric_layers():
         for name in ("w", "b"):
@@ -388,8 +387,8 @@ def test_param_gradients_match_finite_differences(make_model, shape):
             model.params[idx][name] = original.copy()
             numeric = finite_difference(lambda _: loss_value(model, x, loss), model.params[idx][name])
             model.params[idx][name] = original
-            assert param_grads[idx][name].shape == original.shape
-            assert_gradients_close(param_grads[idx][name], numeric)
+            assert param_grads[idx][name].shape == (1, *original.shape)
+            assert_gradients_close(param_grads[idx][name][0], numeric)
 
 
 def test_loss_rejects_out_of_range_class():
@@ -409,8 +408,8 @@ def test_masked_forward_equals_zeroed_weights_bitwise():
         idx: (rng.uniform(size=model.params[idx]["w"].shape) > 0.4).astype(np.float64)
         for idx in model.parametric_layers()
     }
-    masked = model.forward_trace(x, masks=masks)
-    zeroed = model.clone_with_zeroed(masks).forward_trace(x)
+    masked = model.forward_trace(x[None], masks=masks)
+    zeroed = model.clone_with_zeroed(masks).forward_trace(x[None])
     np.testing.assert_array_equal(masked.probs, zeroed.probs)
     np.testing.assert_array_equal(masked.logits, zeroed.logits)
 
@@ -426,7 +425,7 @@ def test_forward_is_deterministic():
 
 def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
     model = tiny_model(9)
-    x = substream(14, "x").uniform(0, 1, (1, 8, 8))
+    x = substream(14, "x").uniform(0, 1, (1, 8, 8))[None]
     full = model.forward_trace(x, cache=True)
     cacheless = model.forward_trace(x)
     assert cacheless.caches is None
@@ -444,9 +443,9 @@ def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
 
 def test_backward_refuses_cacheless_and_mid_network_traces():
     model = tiny_model(10)
-    x = substream(15, "x").uniform(0, 1, (1, 8, 8))
+    x = substream(15, "x").uniform(0, 1, (1, 8, 8))[None]
     full = model.forward_trace(x, cache=True)
-    dlogits = np.ones(4)
+    dlogits = np.ones((1, 4))
     with pytest.raises(ValueError, match="backward needs"):
         model.forward_trace(x).backward(dlogits)
     with pytest.raises(ValueError, match="backward needs"):
@@ -457,7 +456,7 @@ def test_backward_refuses_cacheless_and_mid_network_traces():
 def test_cached_forward_refuses_masks_act_factors_and_a_later_start():
     """Backward runs every layer mask- and noise-free from the input, so only such a forward may cache."""
     model = tiny_model(11)
-    x = substream(16, "x").uniform(0, 1, (1, 8, 8))
+    x = substream(16, "x").uniform(0, 1, (1, 8, 8))[None]
     full = model.forward_trace(x, cache=True)
     masks = {idx: np.ones(model.params[idx]["w"].shape) for idx in model.parametric_layers()}
     relu = next(i for i, spec in enumerate(model.layers) if spec.kind == "relu")
@@ -468,3 +467,71 @@ def test_cached_forward_refuses_masks_act_factors_and_a_later_start():
         assert model.forward_trace(x, **kwargs).probs.tobytes() == full.probs.tobytes()
     with pytest.raises(ValueError, match="cached forward"):
         model.forward_trace(full.inputs[3], start=3, cache=True)
+
+
+# ---------------------------------------------------------------------------
+# batch invariance: every row of a batch is its batch-of-one run, byte for byte
+
+# few-valued inputs make maxpool windows tie and mix +0.0 with -0.0; relu
+# zeroes whole regions, so dense inputs hold exact zeros, and a negative
+# dlogits row multiplies them into -0.0 weight gradients
+PALETTES = [None, (-0.0, 0.0), (-0.0, 0.0, 1.0), (0.5, -0.0, 2.0, 0.5), (-1.0, 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 17),
+    seed=st.integers(0, 2**32 - 1),
+    palette=st.sampled_from(PALETTES),
+    negative_seed=st.booleans(),
+)
+def test_batch_rows_equal_batch_of_one_runs_bytewise(n, seed, palette, negative_seed):
+    rng = np.random.default_rng(seed)
+    model = init_model(conv_pool_arch((8, 16), 3, 4), (1, 18, 18), 4, seed % 1000)
+    shape = (n, 1, 18, 18)
+    x = rng.normal(size=shape) if palette is None else np.asarray(palette)[rng.integers(0, len(palette), shape)]
+    dlogits = -np.abs(rng.normal(size=(n, 4))) if negative_seed else rng.normal(size=(n, 4))
+    batch = model.forward_trace(x, cache=True)
+    dx, grads = batch.backward(dlogits)
+    cacheless = model.forward_trace(x)
+    only_dx, no_grads = batch.backward(dlogits, param_grads=False)
+    no_dx, only_grads = batch.backward(dlogits, input_grad=False)
+    assert no_grads == {} and no_dx is None
+    for r in range(n):
+        single = model.forward_trace(x[r : r + 1], cache=True)
+        dx1, grads1 = single.backward(dlogits[r : r + 1])
+        assert batch.logits[r].tobytes() == single.logits[0].tobytes()
+        assert batch.probs[r].tobytes() == single.probs[0].tobytes()
+        assert cacheless.probs[r].tobytes() == single.probs[0].tobytes()
+        assert model.predict(x[r]).logits.tobytes() == single.logits[0].tobytes()
+        assert dx[r].tobytes() == dx1[0].tobytes() == only_dx[r].tobytes()
+        assert sorted(grads) == sorted(grads1) == model.parametric_layers()
+        for idx in grads:
+            for name in ("w", "b"):
+                assert grads[idx][name][r].tobytes() == grads1[idx][name][0].tobytes()
+                assert only_grads[idx][name][r].tobytes() == grads1[idx][name][0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 17), seed=st.integers(0, 2**32 - 1), c=st.sampled_from([2, 4, 10]))
+def test_batched_losses_equal_row_by_row_losses_bytewise(n, seed, c):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=5.0, size=(n, c))
+    probs = nn.softmax(logits).probs
+    x = rng.uniform(size=(n, 1, 3, 3))
+    labels = rng.integers(0, c, size=n)
+    p_ref = nn.softmax(rng.normal(size=(n, c))).probs
+    losses = [
+        lambda rows: nn.CrossEntropyLoss(labels[rows]),
+        lambda rows: nn.MarginLoss(labels[rows], k=1.5),
+        lambda rows: nn.CompositeLoss(labels[rows], k=1.0, c=2.0, beta=0.7, target_probs=p_ref[rows], x0=x[rows] / 2),
+    ]
+    for make in losses:
+        values, dlogits, dx = make(slice(None)).value_and_grads(logits, probs, x)
+        for r in range(n):
+            row = slice(r, r + 1)
+            v1, d1, dx1 = make(row).value_and_grads(logits[row], probs[row], x[row])
+            assert values[r].tobytes() == v1[0].tobytes()
+            assert dlogits[r].tobytes() == d1[0].tobytes()
+            assert dx is None or dx[r].tobytes() == dx1[0].tobytes()
+        assert nn.softmax(logits[0]).probs.tobytes() == probs[0].tobytes()
