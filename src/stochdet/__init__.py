@@ -44,7 +44,6 @@ from .detector import (
 from .attacks import (
     AdversarialSample,
     AttackConfig,
-    attack_set,
     attack_sets,
     pick_exemplars,
     run_attack,
@@ -93,7 +92,6 @@ __all__ = [
     "stochastic_inference",
     "AdversarialSample",
     "AttackConfig",
-    "attack_set",
     "attack_sets",
     "pick_exemplars",
     "run_attack",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model
+from .model import Model, check_settings, setting
 from .sparsify import SparsificationPlan
 
 
@@ -35,12 +35,11 @@ class ScheduleError(ValueError):
 
 @dataclass
 class AcceleratorConfig:
-    group_size: int = 4
-    lookahead: int = 4
+    group_size: int = setting(4, int, ge=1)
+    lookahead: int = setting(4, int, ge=1)
 
     def __post_init__(self) -> None:
-        if not all(type(v) is int and v >= 1 for v in (self.group_size, self.lookahead)):
-            raise ValueError(f"need integer group_size, lookahead >= 1; got ({self.group_size!r}, {self.lookahead!r})")
+        check_settings(self, ValueError)
 
 
 @dataclass

@@ -3,9 +3,8 @@
 Three attacks against the dense model. attack_sets runs several attacks
 over a set of sources as batches: each (attack, source) pair is one row,
 and one forward and backward per descent step serves a block of rows.
-attack_set is attack_sets for one attack, and run_attack attack_set on
-one source. Each row is byte for byte what its source gives attacked
-alone:
+run_attack is attack_sets for one attack on one source. Each row is
+byte for byte what its source gives attacked alone:
 
 * fgsm -- single-step untargeted baseline, mostly for calibration.
 * cw_l2 -- targeted gradient-descent attack minimizing
@@ -30,10 +29,11 @@ import numpy as np
 from .model import (
     BATCH_ROWS,
     Model,
-    finite_reals,
+    check_settings,
     loss_gradients,
     read_blob_array,
     read_container,
+    setting,
     write_container,
 )
 from .nn import CompositeLoss, CrossEntropyLoss, ProbVector
@@ -47,28 +47,17 @@ class AttackError(ValueError):
 
 @dataclass
 class AttackConfig:
-    kind: str = "cw_l2"  # fgsm | cw_l2 | defense_aware
-    target_mode: str = "next"  # next | least_likely
-    k: float = 0.0
-    c: float = 1.0
-    beta: float = 0.0
-    steps: int = 300
-    step_size: float = 0.02
-    eps: float = 0.15  # fgsm only
+    kind: str = setting("cw_l2", str, choices=("fgsm", "cw_l2", "defense_aware"))
+    target_mode: str = setting("next", str, choices=("next", "least_likely"))
+    k: float = setting(0.0, float, ge=0)
+    c: float = setting(1.0, float, gt=0)
+    beta: float = setting(0.0, float, ge=0)
+    steps: int = setting(300, int, ge=1)
+    step_size: float = setting(0.02, float, gt=0)
+    eps: float = setting(0.15, float, ge=0, lt=1)  # fgsm only
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fgsm", "cw_l2", "defense_aware"):
-            raise AttackError(f"unknown attack kind {self.kind!r}")
-        if self.target_mode not in ("next", "least_likely"):
-            raise AttackError(f"unknown target mode {self.target_mode!r}")
-        if not finite_reals(self.k, self.c, self.beta, self.step_size, self.eps):
-            raise AttackError(f"k, c, beta, step_size and eps must be finite numbers; got {self!r}")
-        if not (type(self.steps) is int and self.steps >= 1 and self.step_size > 0):
-            raise AttackError(f"need integer steps >= 1 and step_size > 0; got ({self.steps!r}, {self.step_size!r})")
-        if not 0.0 <= self.eps < 1.0:
-            raise AttackError(f"eps must be in [0, 1), got {self.eps}")
-        if self.k < 0 or self.c <= 0 or self.beta < 0:
-            raise AttackError(f"need k >= 0, c > 0, beta >= 0; got k={self.k} c={self.c} beta={self.beta}")
+        check_settings(self, AttackError)
 
     @property
     def name(self) -> str:
@@ -266,33 +255,22 @@ def attack_sets(
     return [samples[j * n : (j + 1) * n] for j in range(len(cfgs))]
 
 
-def attack_set(
-    model: Model,
-    sources: list[np.ndarray],
-    cfg: AttackConfig,
-    exemplars: dict[int, np.ndarray] | None = None,
-) -> list[AdversarialSample]:
-    """Attack every source as cfg says: attack_sets for one attack, one AdversarialSample per source."""
-    return attack_sets(model, sources, [cfg], exemplars)[0]
-
-
 def run_attack(
     model: Model,
     x: np.ndarray,
     cfg: AttackConfig,
     exemplars: dict[int, np.ndarray] | None = None,
 ) -> AdversarialSample:
-    """Attack one source x as cfg says: attack_set on a set of one."""
-    return attack_set(model, [x], cfg, exemplars)[0]
+    """Attack one source x as cfg says: attack_sets for one attack on a set of one."""
+    return attack_sets(model, [x], [cfg], exemplars)[0][0]
 
 
-def pick_exemplars(model: Model, dataset) -> dict[int, np.ndarray]:
-    """Highest-confidence correctly-classified sample of each class.
+def pick_exemplars(dataset, probs: np.ndarray) -> dict[int, np.ndarray]:
+    """Highest-confidence correctly-classified sample of each class; probs[i] is the model's output on image i.
 
     The most stably classified exemplar is the natural anchor for the
     defense_aware L1 term.
     """
-    probs = model.predict_batch(dataset.images).probs
     best: dict[int, tuple[float, np.ndarray]] = {}
     for img, lab, p in zip(dataset.images, dataset.labels, probs):
         if int(np.argmax(p)) != lab:

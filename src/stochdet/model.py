@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -363,30 +363,60 @@ def init_model(
     )
 
 
-def finite_reals(*values) -> bool:
-    """True when every value is a finite int or float and none is a bool."""
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+def setting(default, kind: type, *, ge=None, gt=None, lt=None, choices=None, items=None):
+    """A config field with its rule beside its default; `check_settings` enforces the rule.
+
+    `kind` is int, float (a finite int or float), str or a config class, and
+    never a bool. `ge`, `gt` and `lt` bound a number, `choices` lists the
+    values allowed, and `items=n` makes the field a list of at least n such
+    values. A callable default is a default factory.
+    """
+    rule = {"kind": kind, "ge": ge, "gt": gt, "lt": lt, "choices": choices, "items": items}
+    if callable(default):
+        return field(default_factory=default, metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
+def _admits(v, kind, ge, gt, lt, choices, items) -> bool:
+    if items is not None:
+        listed = isinstance(v, (list, tuple)) and len(v) >= items
+        return listed and all(_admits(x, kind, ge, gt, lt, choices, None) for x in v)
+    typed = isinstance(v, (int, float) if kind is float else kind) and not isinstance(v, bool)
+    if not typed or (isinstance(v, float) and not math.isfinite(v)):
+        return False
+    bounds = (ge is None or v >= ge) and (gt is None or v > gt) and (lt is None or v < lt)
+    return bounds and (choices is None or v in choices)
+
+
+def _rule_text(kind, ge, gt, lt, choices, items) -> str:
+    names = {int: "an integer", float: "a finite number", str: "a string"}
+    text = f"one of {choices}" if choices else names.get(kind, f"a {kind.__name__}")
+    text += "".join(f" {op} {bound}" for op, bound in ((">=", ge), (">", gt), ("<", lt)) if bound is not None)
+    if items is None:
+        return text
+    return f"a list of at least {items}, each {text}" if items else f"a list, each {text}"
+
+
+def check_settings(obj, error: type[Exception]) -> None:
+    """Raise error("<field> must be <rule>, got <value>") at obj's first field that breaks its `setting` rule."""
+    for f in fields(obj):
+        rule, value = f.metadata.get("rule"), getattr(obj, f.name)
+        if rule is not None and not _admits(value, **rule):
+            raise error(f"{f.name} must be {_rule_text(**rule)}, got {value!r}")
 
 
 @dataclass
 class TrainConfig:
     """The experiment's training settings."""
 
-    lr: float = 0.15
-    epochs: int = 16
-    seed: int = 11
-    batch_size: int = 16
-    weight_decay: float = 1e-4  # L2 on weights only; biases stay unregularized
+    lr: float = setting(0.15, float, gt=0)
+    epochs: int = setting(16, int, ge=0)
+    seed: int = setting(11, int)
+    batch_size: int = setting(16, int, ge=1)
+    weight_decay: float = setting(1e-4, float, ge=0)  # L2 on weights only; biases stay unregularized
 
     def __post_init__(self) -> None:
-        counts_ok = all(type(v) is int for v in (self.epochs, self.seed, self.batch_size))
-        rates_ok = finite_reals(self.lr, self.weight_decay) and self.lr > 0 and self.weight_decay >= 0
-        if not (counts_ok and rates_ok and self.epochs >= 0 and self.batch_size >= 1):
-            raise ValueError(
-                "need integer epochs >= 0, integer seed, integer batch_size >= 1, finite lr > 0 and "
-                "finite weight_decay >= 0; got "
-                f"({self.epochs!r}, {self.seed!r}, {self.batch_size!r}, {self.lr!r}, {self.weight_decay!r})"
-            )
+        check_settings(self, ValueError)
 
 
 @dataclass

@@ -19,7 +19,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,11 +53,12 @@ from .model import (
     Model,
     TrainConfig,
     _propagate_shapes,
+    check_settings,
     conv_pool_arch,
-    finite_reals,
     load_model,
     profile_thresholds,
     save_model,
+    setting,
     ThresholdTable,
     train,
 )
@@ -83,18 +84,12 @@ class StageError(RuntimeError):
 class DetectorSettings:
     """The experiment's detector knobs; thresholds come from calibration."""
 
-    max_runs: int = 3
-    target_fpr: float = 0.05
-    calibration_passes: int = 24
+    max_runs: int = setting(3, int, ge=1)
+    target_fpr: float = setting(0.05, float, gt=0, lt=1)
+    calibration_passes: int = setting(24, int, ge=1)
 
     def __post_init__(self) -> None:
-        integers = all(_is_int(v) for v in (self.max_runs, self.calibration_passes))
-        fpr_ok = finite_reals(self.target_fpr) and 0.0 < self.target_fpr < 1.0
-        if not (integers and fpr_ok and self.max_runs >= 1 and self.calibration_passes >= 1):
-            raise ValueError(
-                "need integer max_runs >= 1, integer calibration_passes >= 1 and a number 0 < target_fpr < 1; got "
-                f"({self.max_runs!r}, {self.calibration_passes!r}, {self.target_fpr!r})"
-            )
+        check_settings(self, ValueError)
 
 
 def _default_attacks() -> list[AttackConfig]:
@@ -108,81 +103,53 @@ def _default_attacks() -> list[AttackConfig]:
     ]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def parse_dataset_spec(spec: str) -> tuple:
     """('synth', seed) for 'synth:<seed>', ('idx', images_path, labels_path) for 'idx:<images>:<labels>'."""
-    if not isinstance(spec, str):
-        raise ConfigError(f"dataset must be a string, got {spec!r}")
-    parts = spec.split(":")
-    if parts[0] == "synth":
-        if len(parts) != 2:
-            raise ConfigError(f"synth dataset spec must be synth:<seed>, got {spec!r}")
-        try:
-            return "synth", int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"synth seed must be an integer, got {parts[1]!r}") from exc
-    if parts[0] == "idx":
-        if len(parts) != 3:
-            raise ConfigError(f"idx dataset spec must be idx:<images>:<labels>, got {spec!r}")
-        return "idx", Path(parts[1]), Path(parts[2])
-    raise ConfigError(f"unknown dataset kind {parts[0]!r} in {spec!r}")
+    kind, *args = spec.split(":")
+    if kind == "idx" and len(args) == 2:
+        return "idx", Path(args[0]), Path(args[1])
+    try:
+        if kind == "synth" and len(args) == 1:
+            return "synth", int(args[0])
+    except ValueError:
+        pass
+    raise ConfigError(f"dataset must be synth:<integer seed> or idx:<images>:<labels>, got {spec!r}")
 
 
 @dataclass
 class ExperimentConfig:
-    """The experiment; its field defaults are the only statement of its values."""
+    """The experiment; its field declarations are the only statement of its values and their rules."""
 
-    base_seed: int = 7
-    dataset: str = "synth:7"
-    image_size: int = DEFAULT_IMAGE_SIZE
-    train_count: int = 4000
-    test_count: int = 1000
-    out_dir: str = "runs/fixture"
-    model_path: str = ""  # reuse an existing model instead of training
-    arch_channels: list[int] = field(default_factory=lambda: [8, 16])
-    kernel: int = 3
-    train: TrainConfig = field(default_factory=TrainConfig)
-    noise: NoiseConfig = field(default_factory=NoiseConfig)
-    detector: DetectorSettings = field(default_factory=DetectorSettings)
-    attacks: list[AttackConfig] = field(default_factory=_default_attacks)
-    accelerator: AcceleratorConfig = field(default_factory=AcceleratorConfig)
+    base_seed: int = setting(7, int)
+    dataset: str = setting("synth:7", str)
+    image_size: int = setting(DEFAULT_IMAGE_SIZE, int, ge=1)
+    train_count: int = setting(4000, int, ge=1)
+    test_count: int = setting(1000, int, ge=1)
+    out_dir: str = setting("runs/fixture", str)
+    model_path: str = setting("", str)  # reuse an existing model instead of training
+    arch_channels: list[int] = setting(lambda: [8, 16], int, ge=1, items=1)
+    kernel: int = setting(3, int, ge=1)
+    train: TrainConfig = setting(TrainConfig, TrainConfig)
+    noise: NoiseConfig = setting(NoiseConfig, NoiseConfig)
+    detector: DetectorSettings = setting(DetectorSettings, DetectorSettings)
+    attacks: list[AttackConfig] = setting(_default_attacks, AttackConfig, items=0)
+    accelerator: AcceleratorConfig = setting(AcceleratorConfig, AcceleratorConfig)
     # slices of the test set, in order: calibration, benign evaluation, attack sources
-    calib_count: int = 300
-    benign_eval_count: int = 300
-    attack_count: int = 230
-    simulate_count: int = 20  # inputs simulated, from the benign-eval slice
+    calib_count: int = setting(300, int, ge=1)
+    benign_eval_count: int = setting(300, int, ge=1)
+    attack_count: int = setting(230, int, ge=0)
+    simulate_count: int = setting(20, int, ge=1)  # inputs simulated, from the benign-eval slice
 
     def __post_init__(self) -> None:
-        """Values and set sizes that would make a later stage fail are rejected at load."""
-        if not _is_int(self.base_seed):
-            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        dataset_kind = parse_dataset_spec(self.dataset)[0]
-        sizes_ok = all(_is_int(v) and v >= 1 for v in (self.image_size, self.kernel))
-        channels_ok = isinstance(self.arch_channels, (list, tuple)) and len(self.arch_channels) > 0
-        if not (sizes_ok and channels_ok and all(_is_int(v) and v >= 1 for v in self.arch_channels)):
-            raise ValueError(
-                "need integer image_size >= 1 and kernel >= 1 and a non-empty list of integer arch_channels >= 1; "
-                f"got ({self.image_size!r}, {self.kernel!r}, {self.arch_channels!r})"
-            )
-        if dataset_kind == "synth" and self.image_size < MIN_SYNTH_IMAGE_SIZE:
+        """Each field's rule, then the rules across fields that would make a later stage fail."""
+        check_settings(self, ValueError)
+        if parse_dataset_spec(self.dataset)[0] == "synth" and self.image_size < MIN_SYNTH_IMAGE_SIZE:
             raise ValueError(f"synthetic images need image_size >= {MIN_SYNTH_IMAGE_SIZE}, got {self.image_size}")
-        # the class count does not change any shape before the dense head
-        arch = conv_pool_arch(tuple(self.arch_channels), self.kernel, class_count=1)
-        _propagate_shapes(arch, (1, self.image_size, self.image_size))
-        counts = {
-            "train_count": self.train_count,
-            "test_count": self.test_count,
-            "calib_count": self.calib_count,
-            "benign_eval_count": self.benign_eval_count,
-            "simulate_count": self.simulate_count,
-        }
-        if not all(_is_int(v) and v >= 1 for v in counts.values()):
-            raise ValueError(f"set sizes must be integers >= 1, got {counts}")
-        if not _is_int(self.attack_count) or self.attack_count < 0:
-            raise ValueError(f"attack_count must be an integer >= 0, got {self.attack_count!r}")
+        try:  # the class count does not change any shape before the dense head
+            arch = conv_pool_arch(tuple(self.arch_channels), self.kernel, class_count=1)
+            _propagate_shapes(arch, (1, self.image_size, self.image_size))
+        except ValueError as exc:
+            raise ValueError(f"arch_channels and kernel do not fit image_size {self.image_size}: {exc}") from exc
         if self.calib_count + self.benign_eval_count > self.test_count:
             raise ValueError(
                 f"calib_count + benign_eval_count ({self.calib_count} + {self.benign_eval_count}) "
@@ -201,22 +168,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """A config from JSON; each section overrides only the keys it names."""
+        """A config from JSON; each section overrides only the keys it names.
+
+        Every message names its field by its path, as `train.lr` or `attacks[1].steps`.
+        """
         if not isinstance(obj, dict):
             raise ConfigError(f"config must be a JSON object, got {type(obj).__name__}")
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        fields, defaults = dict(obj), cls()
-        try:
-            for name in ("train", "noise", "detector", "accelerator"):
-                if name in fields:
-                    fields[name] = replace(getattr(defaults, name), **fields[name])
-            if "attacks" in fields:
-                fields["attacks"] = [AttackConfig(**a) for a in fields["attacks"]]
-            return cls(**fields)
-        except (TypeError, ValueError) as exc:  # AttackError is a ValueError
-            raise ConfigError(f"invalid config: {exc}") from exc
+        defaults, fields = cls(), dict(obj)
+        for name in ("train", "noise", "detector", "accelerator"):
+            if isinstance(fields.get(name), dict):
+                fields[name] = _override(name, getattr(defaults, name), fields[name])
+        if isinstance(fields.get("attacks"), list):
+            fields["attacks"] = [
+                _override(f"attacks[{i}]", AttackConfig(), a) if isinstance(a, dict) else a
+                for i, a in enumerate(fields["attacks"])
+            ]
+        return _override("", defaults, fields)
+
+
+def _override(path: str, base, values: dict):
+    """base with the given values; an unknown key or a bad value is a ConfigError naming path.field."""
+    prefix = f"{path}." if path else ""
+    unknown = sorted(prefix + k for k in set(values) - set(base.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown config fields: {unknown}")
+    try:
+        return replace(base, **values)
+    except ValueError as exc:  # AttackError is a ValueError
+        raise ConfigError(f"invalid config: {prefix}{exc}") from exc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -266,27 +245,24 @@ def verify_artifact(path: Path) -> tuple[bool, str]:
     """Re-derive the payload hash an artifact declares; flag tampering."""
     try:
         if path.suffix == ".csv":
-            text = path.read_text(encoding="utf-8")
-            header_lines = [l for l in text.splitlines(keepends=True) if l.startswith("# ")]
-            declared = ""
-            for line in header_lines:
-                if line.startswith("# payload_sha256="):
-                    declared = line.split("=", 1)[1].strip()
-            body = "".join(l for l in text.splitlines(keepends=True) if not l.startswith("# "))
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            marks = [l.split("=", 1)[1].strip() for l in lines if l.startswith("# payload_sha256=")]
+            declared, body = (marks or [""])[-1], "".join(l for l in lines if not l.startswith("# "))
             actual = hashlib.sha256(body.encode()).hexdigest()
-        elif path.suffix in (".json", ".jsonl"):
-            if path.suffix == ".jsonl":
-                first, *rest = path.read_text(encoding="utf-8").splitlines()
-                declared = json.loads(first)["provenance"]["payload_sha256"]
-                actual = hashlib.sha256("\n".join(rest).encode()).hexdigest()
-            else:
-                prov, payload = read_json_artifact(path)
-                declared = prov["payload_sha256"]
-                actual = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        elif path.suffix == ".jsonl":
+            first, *rest = path.read_text(encoding="utf-8").splitlines()
+            declared = json.loads(first)["provenance"]["payload_sha256"]
+            actual = hashlib.sha256("\n".join(rest).encode()).hexdigest()
+        elif path.suffix == ".json":
+            prov, payload = read_json_artifact(path)
+            declared = prov["payload_sha256"]
+            actual = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
         else:
             return True, "skipped (binary container)"
-    except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return False, f"unreadable provenance: {exc}"
+        if not isinstance(declared, str):
+            raise TypeError(f"payload_sha256 is {declared!r}, not a string")
+    except (KeyError, TypeError, ValueError) as exc:  # a wrong root or field type, bad JSON, an empty file
+        return False, f"unreadable provenance: {exc!r}"
     if declared != actual:
         return False, f"hash mismatch: declared {declared[:12]}.., derived {actual[:12]}.."
     return True, "ok"
@@ -321,13 +297,6 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: i
     if full.images[0].shape != (1, image_size, image_size):
         raise ConfigError(f"{images_path} holds {full.images[0].shape[1:]} images but image_size is {image_size}")
     return Dataset(full.images[start:end], full.labels[start:end], full.class_count)
-
-
-def _attack_sources(model: Model, test: Dataset, start: int, count: int) -> list[np.ndarray]:
-    """The first `count` test images from `start` on that the model classifies correctly."""
-    images = test.images[start:]
-    hits = model.predict_batch(images).probs.argmax(axis=1) == np.asarray(test.labels[start:])
-    return [img for img, hit in zip(images, hits) if hit][:count]
 
 
 class RunState:
@@ -472,8 +441,11 @@ def stage_profile(state: RunState) -> str:
 
 def stage_attack(state: RunState) -> str:
     cfg, model, test_set = state.cfg, state["model"], state["test_set"]
-    exemplars = pick_exemplars(model, test_set)
-    sources = _attack_sources(model, test_set, cfg.calib_count + cfg.benign_eval_count, cfg.attack_count)
+    probs = model.predict_batch(test_set.images).probs  # one forward picks exemplars and sources
+    exemplars = pick_exemplars(test_set, probs)
+    # the first attack_count images after the calibration and benign slices that the model gets right
+    start, hits = cfg.calib_count + cfg.benign_eval_count, probs.argmax(axis=1) == np.asarray(test_set.labels)
+    sources = [img for img, hit in zip(test_set.images[start:], hits[start:]) if hit][: cfg.attack_count]
     adv_sets, lines = {}, []
     for spec, samples in zip(cfg.attacks, attack_sets(model, sources, cfg.attacks, exemplars)):
         adv_sets[spec.name] = samples

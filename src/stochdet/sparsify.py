@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, RATE_GRID_STEPS, ThresholdTable, finite_reals
+from .model import Model, RATE_GRID_STEPS, ThresholdTable, check_settings, setting
 from .nn import ProbVector
 from .rng import substream
 
@@ -34,15 +34,14 @@ class PlanMismatch(ValueError):
 
 @dataclass
 class NoiseConfig:
-    sr_lo: float = 0.1
-    sr_hi: float = 0.8
-    gamma: float = 4.0
+    sr_lo: float = setting(0.1, float, ge=0, lt=1)
+    sr_hi: float = setting(0.8, float, ge=0, lt=1)
+    gamma: float = setting(4.0, float, gt=0)
 
     def __post_init__(self) -> None:
-        if not (finite_reals(self.sr_lo, self.sr_hi) and 0.0 <= self.sr_lo <= self.sr_hi < 1.0):
-            raise ValueError(f"need numbers 0 <= sr_lo <= sr_hi < 1, got ({self.sr_lo!r}, {self.sr_hi!r})")
-        if not (finite_reals(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be a finite positive number, got {self.gamma!r}")
+        check_settings(self, ValueError)
+        if self.sr_lo > self.sr_hi:
+            raise ValueError(f"sr_lo must be <= sr_hi, got {self.sr_lo!r} > {self.sr_hi!r}")
 
 
 def confidence(ref: ProbVector) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from stochdet.attacks import AttackConfig, attack_set, pick_exemplars
+from stochdet.attacks import AttackConfig, attack_sets, pick_exemplars
 from stochdet.data import synth_dataset
 from stochdet.detector import calibrate, calibration_distances
 from stochdet.model import TrainConfig, conv_pool_arch, profile_thresholds, train
@@ -102,12 +102,12 @@ def attack_sources(fixture_model, fixture_data):
 @pytest.fixture(scope="session")
 def fixture_exemplars(fixture_model, fixture_data):
     _, test_set = fixture_data
-    return pick_exemplars(fixture_model, test_set)
+    return pick_exemplars(test_set, fixture_model.predict_batch(test_set.images).probs)
 
 
 def _cw_set(model, sources, k, count):
     cfg = AttackConfig(kind="cw_l2", target_mode="next", k=k, steps=CW_STEPS, step_size=CW_STEP_SIZE)
-    return attack_set(model, sources[:count], cfg)
+    return attack_sets(model, sources[:count], [cfg])[0]
 
 
 @pytest.fixture(scope="session")
@@ -125,7 +125,7 @@ def defense_aware_sets(fixture_model, attack_sources, fixture_exemplars):
             kind="defense_aware", target_mode="next", k=2.0, beta=beta,
             steps=CW_STEPS, step_size=CW_STEP_SIZE,
         )
-        sets[beta] = attack_set(fixture_model, attack_sources[:120], cfg, fixture_exemplars)
+        sets[beta] = attack_sets(fixture_model, attack_sources[:120], [cfg], fixture_exemplars)[0]
     return sets
 
 

@@ -31,6 +31,7 @@ from stochdet.pipeline import ExperimentConfig, run_pipeline
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import draw_plan, noisy_activation_forward, noisy_forward
 from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, successful_inputs
+from tests.test_golden import check_golden
 from tests.test_nn import assert_gradients_close, fd_probe_is_smooth, finite_difference
 
 
@@ -407,6 +408,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         out_a = tmp_path / "run_a"
         cfg = ExperimentConfig(out_dir=str(out_a))
         run_pipeline(cfg, log=lambda *_: None)
+        check_golden("default", out_a)  # every payload as recorded in tests/golden/payloads.json
         csv_names = ("metrics.csv", "k_sweep.csv", "beta_sweep.csv", "cycles.csv")
         snapshot = {n: (out_a / n).read_bytes() for n in csv_names}
         metrics_a = json.loads((out_a / "metrics.json").read_text())["payload"]

@@ -12,7 +12,6 @@ from stochdet.attacks import (
     AdversarialSample,
     AttackConfig,
     AttackError,
-    attack_set,
     attack_sets,
     l2_distortion,
     load_adversarial_set,
@@ -343,7 +342,7 @@ def test_adversarial_set_fuzz_yields_typed_error_or_samples(data):
 )
 def test_attack_set_equals_run_attack_per_source_bytewise(fixture_model, attack_sources, fixture_exemplars, cfg):
     sources = attack_sources[:6]
-    batched = attack_set(fixture_model, sources, cfg, fixture_exemplars)
+    batched = attack_sets(fixture_model, sources, [cfg], fixture_exemplars)[0]
     assert len(batched) == len(sources)
     for x, b in zip(sources, batched):
         one = run_attack(fixture_model, x, cfg, fixture_exemplars)
@@ -351,7 +350,7 @@ def test_attack_set_equals_run_attack_per_source_bytewise(fixture_model, attack_
         assert b.perturbed.tobytes() == one.perturbed.tobytes()
         rest = ("target_class", "success", "l2_distortion", "kind", "source_class", "attack_l1_to_target")
         assert [getattr(b, f) for f in rest] == [getattr(one, f) for f in rest]
-    assert attack_set(fixture_model, [], cfg, fixture_exemplars) == []
+    assert attack_sets(fixture_model, [], [cfg], fixture_exemplars)[0] == []
 
 
 def test_attack_sets_mixes_attacks_in_blocks_bytewise(fixture_model, attack_sources, fixture_exemplars):
@@ -379,4 +378,4 @@ def test_attack_sets_mixes_attacks_in_blocks_bytewise(fixture_model, attack_sour
 def test_attack_set_applies_the_per_source_rules(fixture_model, attack_sources, fixture_exemplars):
     cfg = AttackConfig(kind="defense_aware", k=2.0, beta=0.1, steps=5)
     with pytest.raises(AttackError, match="benign exemplar"):
-        attack_set(fixture_model, attack_sources[:4], cfg, exemplars=None)
+        attack_sets(fixture_model, attack_sources[:4], [cfg], exemplars=None)[0]

@@ -27,7 +27,7 @@ from stochdet.pipeline import (
 from stochdet.sparsify import noisy_forward
 
 
-def tiny_config(out_dir: Path, **overrides) -> dict:
+def tiny_config(out_dir: Path, /, **overrides) -> dict:
     cfg = {
         "base_seed": 7,
         "dataset": "synth:7",
@@ -132,6 +132,35 @@ def test_verify_flags_tampering(pipeline_run, tmp_path):
     ok, detail = verify_artifact(tampered)
     assert not ok and "mismatch" in detail
     assert main(["verify", str(tampered)]) == 3
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("empty.jsonl", ""),
+        ("list_root.json", "[1, 2]"),
+        ("text_provenance.json", '{"provenance": "x", "payload": {}}'),
+        ("number_hash.json", '{"provenance": {"payload_sha256": 5}, "payload": {}}'),
+    ],
+    ids=["empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash"],
+)
+def test_verify_flags_unreadable_provenance_and_goes_on(pipeline_run, tmp_path, capsys, name, text):
+    cfg, _ = pipeline_run
+    (tmp_path / f"a_{name}").write_text(text)
+    shutil.copy(Path(cfg.out_dir) / "metrics.csv", tmp_path / "b_metrics.csv")  # checked after the bad file
+    ok, detail = verify_artifact(tmp_path / f"a_{name}")
+    assert not ok and "unreadable provenance" in detail
+    assert main(["verify", str(tmp_path)]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("TAMPERED") and f"a_{name}" in out[0] and "unreadable provenance" in out[0]
+    assert out[1].startswith("ok") and "b_metrics.csv" in out[1]
+
+
+@pytest.mark.parametrize("name", ["out_dir", "model_path"])
+def test_a_non_string_path_field_is_a_config_error(tmp_path, capsys, name):
+    cfg_path = write_config(tmp_path, **{name: 5})
+    assert main(["profile", "--config", str(cfg_path)]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_histogram_bins_sum_to_sample_count(pipeline_run):
@@ -327,69 +356,75 @@ def test_partial_sections_keep_experiment_defaults():
     assert cfg.train.epochs == 2 and cfg.train.lr == 0.15
 
 
-@pytest.mark.parametrize(
-    "override",
-    [
-        {"attacks": [{"kind": "pgd"}]},
-        {"attacks": [{"kind": "cw_l2", "seed": 3}]},
-        {"detector": {"max_run": 3}},
-        {"noise": {"mode": "activation"}},
-        {"train": {"batch_size": 0}},
-        {"train": {"epochs": "3"}},
-        {"benign_eval_count": 0},
-        {"calib_count": 3},
-        {"simulate_count": 0},
-        {"simulate_count": 61},
-        {"calib_count": 250},
-        {"train_count": 4.5},
-        {"detector": {"calibration_passes": 2.5}},
-        {"noise": {"sr_lo": 0.9, "sr_hi": 0.2}},
-        [],
-        [["base_seed", 3]],
-        {"attacks": [{"kind": "fgsm", "eps": 1.5}]},
-        {"attacks": [{"kind": "cw_l2", "steps": 2.5}]},
-        {"attacks": [{"kind": "cw_l2", "step_size": 0.0}]},
-        {"accelerator": {"group_size": 2.5}},
-        {"accelerator": {"lookahead": 1.5}},
-        {"kernel": 2.5},
-        {"image_size": 0},
-        {"arch_channels": [0]},
-        {"dataset": "synth:x"},
-        {"base_seed": 1.5},
-        {"base_seed": "7"},
-        {"arch_channels": []},
-        {"kernel": 9},
-        {"image_size": 10},
-        {"dataset": "idx:images.idx"},
-        {"train": {"epochs": True}},
-        {"train": {"seed": True}},
-        {"train": {"batch_size": True}},
-        {"detector": {"max_runs": True}},
-        {"detector": {"calibration_passes": True}},
-        {"accelerator": {"group_size": True}},
-        {"attacks": [{"kind": "cw_l2", "steps": True}]},
-        {"noise": {"gamma": True}},
-        {"noise": {"gamma": float("nan")}},
-        {"noise": {"sr_lo": False}},
-        {"train": {"lr": True}},
-        {"train": {"lr": float("inf")}},
-        {"train": {"weight_decay": True}},
-        {"attacks": [{"kind": "cw_l2", "k": float("nan")}]},
-        {"attacks": [{"kind": "cw_l2", "c": True}]},
-        {"attacks": [{"kind": "cw_l2", "step_size": float("inf")}]},
-        {"attacks": [{"kind": "defense_aware", "beta": float("nan")}]},
-        {"attacks": [{"kind": "fgsm", "eps": False}]},
-        {"detector": {"target_fpr": True}},
-    ],
-)
-def test_bad_section_fails_before_any_stage(tmp_path, capsys, override):
+# each case, in order (its id is override<index>), and the field its message must name
+BAD_CONFIGS = [
+    ({"attacks": [{"kind": "pgd"}]}, "attacks[0].kind"),
+    ({"attacks": [{"kind": "cw_l2", "seed": 3}]}, "attacks[0].seed"),
+    ({"detector": {"max_run": 3}}, "detector.max_run"),
+    ({"noise": {"mode": "activation"}}, "noise.mode"),
+    ({"train": {"batch_size": 0}}, "train.batch_size"),
+    ({"train": {"epochs": "3"}}, "train.epochs"),
+    ({"benign_eval_count": 0}, "benign_eval_count"),
+    ({"calib_count": 3}, "calib_count"),
+    ({"simulate_count": 0}, "simulate_count"),
+    ({"simulate_count": 61}, "simulate_count"),
+    ({"calib_count": 250}, "calib_count"),
+    ({"train_count": 4.5}, "train_count"),
+    ({"detector": {"calibration_passes": 2.5}}, "detector.calibration_passes"),
+    ({"noise": {"sr_lo": 0.9, "sr_hi": 0.2}}, "noise.sr_lo"),
+    ([], "JSON object"),
+    ([["base_seed", 3]], "JSON object"),
+    ({"attacks": [{"kind": "fgsm", "eps": 1.5}]}, "attacks[0].eps"),
+    ({"attacks": [{"kind": "cw_l2", "steps": 2.5}]}, "attacks[0].steps"),
+    ({"attacks": [{"kind": "cw_l2", "step_size": 0.0}]}, "attacks[0].step_size"),
+    ({"accelerator": {"group_size": 2.5}}, "accelerator.group_size"),
+    ({"accelerator": {"lookahead": 1.5}}, "accelerator.lookahead"),
+    ({"kernel": 2.5}, "kernel"),
+    ({"image_size": 0}, "image_size"),
+    ({"arch_channels": [0]}, "arch_channels"),
+    ({"dataset": "synth:x"}, "dataset"),
+    ({"base_seed": 1.5}, "base_seed"),
+    ({"base_seed": "7"}, "base_seed"),
+    ({"arch_channels": []}, "arch_channels"),
+    ({"kernel": 9}, "kernel"),
+    ({"image_size": 10}, "image_size"),
+    ({"dataset": "idx:images.idx"}, "dataset"),
+    ({"train": {"epochs": True}}, "train.epochs"),
+    ({"train": {"seed": True}}, "train.seed"),
+    ({"train": {"batch_size": True}}, "train.batch_size"),
+    ({"detector": {"max_runs": True}}, "detector.max_runs"),
+    ({"detector": {"calibration_passes": True}}, "detector.calibration_passes"),
+    ({"accelerator": {"group_size": True}}, "accelerator.group_size"),
+    ({"attacks": [{"kind": "cw_l2", "steps": True}]}, "attacks[0].steps"),
+    ({"noise": {"gamma": True}}, "noise.gamma"),
+    ({"noise": {"gamma": float("nan")}}, "noise.gamma"),
+    ({"noise": {"sr_lo": False}}, "noise.sr_lo"),
+    ({"train": {"lr": True}}, "train.lr"),
+    ({"train": {"lr": float("inf")}}, "train.lr"),
+    ({"train": {"weight_decay": True}}, "train.weight_decay"),
+    ({"attacks": [{"kind": "cw_l2", "k": float("nan")}]}, "attacks[0].k"),
+    ({"attacks": [{"kind": "cw_l2", "c": True}]}, "attacks[0].c"),
+    ({"attacks": [{"kind": "cw_l2", "step_size": float("inf")}]}, "attacks[0].step_size"),
+    ({"attacks": [{"kind": "defense_aware", "beta": float("nan")}]}, "attacks[0].beta"),
+    ({"attacks": [{"kind": "fgsm", "eps": False}]}, "attacks[0].eps"),
+    ({"detector": {"target_fpr": True}}, "detector.target_fpr"),
+    ({"out_dir": 5}, "out_dir"),
+    ({"model_path": 5}, "model_path"),
+    ({"arch_channels": [8, True]}, "arch_channels"),
+    ({"attacks": [{"kind": 3}]}, "attacks[0].kind"),
+]
+
+
+@pytest.mark.parametrize("override, field", BAD_CONFIGS, ids=[f"override{i}" for i in range(len(BAD_CONFIGS))])
+def test_bad_section_fails_before_any_stage(tmp_path, capsys, override, field):
     if isinstance(override, dict):
         cfg_path = write_config(tmp_path, **override)
     else:  # a config whose root is not a JSON object
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(override))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
     assert not (tmp_path / "run" / "model.bin").exists()
 
 
