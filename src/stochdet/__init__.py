@@ -9,97 +9,18 @@ and a cycle model of the dynamically sparsified accelerator.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
+# every name imported below is the package's API, and __all__ lists them all
 from .nn import ProbVector, ShapeError
 from .data import Dataset, synth_dataset, parse_idx, serialize_idx
-from .model import (
-    LayerSpec,
-    Model,
-    ThresholdTable,
-    TrainConfig,
-    conv_pool_arch,
-    input_gradient,
-    load_model,
-    profile_thresholds,
-    save_model,
-    train,
-)
-from .sparsify import (
-    NoiseConfig,
-    SparsificationPlan,
-    confidence,
-    draw_plan,
-    noise_budget,
-    noisy_activation_forward,
-    noisy_forward,
-)
-from .detector import (
-    DetectionThresholds,
-    DetectionVerdict,
-    DetectorConfig,
-    calibrate,
-    detect_set,
-    l1_distance,
-    stochastic_inference,
-)
-from .attacks import (
-    AdversarialSample,
-    AttackConfig,
-    attack_sets,
-    pick_exemplars,
-    run_attack,
-    select_target,
-)
-from .accelsim import (
-    AcceleratorConfig,
-    CycleReport,
-    group_filters,
-    mask_stream_trace,
-    simulate_layer,
-    simulate_model,
-)
+from .model import LayerSpec, Model, ThresholdTable, TrainConfig, conv_pool_arch, load_model, profile_thresholds
+from .model import save_model, train
+from .sparsify import NoiseConfig, SparsificationPlan, confidence, draw_plan, noise_budget
+from .sparsify import noisy_activation_forward, noisy_forward
+from .detector import DetectionThresholds, DetectionVerdict, DetectorConfig, calibrate, detect_set, l1_distance
+from .detector import stochastic_inference
+from .attacks import AdversarialSample, AttackConfig, attack_sets, pick_exemplars, run_attack, select_target
+from .accelsim import AcceleratorConfig, CycleReport, group_filters, mask_stream_trace, simulate_layer, simulate_model
 
-__all__ = [
-    "__version__",
-    "ProbVector",
-    "ShapeError",
-    "Dataset",
-    "synth_dataset",
-    "parse_idx",
-    "serialize_idx",
-    "LayerSpec",
-    "Model",
-    "ThresholdTable",
-    "TrainConfig",
-    "conv_pool_arch",
-    "input_gradient",
-    "load_model",
-    "profile_thresholds",
-    "save_model",
-    "train",
-    "NoiseConfig",
-    "SparsificationPlan",
-    "confidence",
-    "draw_plan",
-    "noise_budget",
-    "noisy_activation_forward",
-    "noisy_forward",
-    "DetectionThresholds",
-    "DetectionVerdict",
-    "DetectorConfig",
-    "calibrate",
-    "detect_set",
-    "l1_distance",
-    "stochastic_inference",
-    "AdversarialSample",
-    "AttackConfig",
-    "attack_sets",
-    "pick_exemplars",
-    "run_attack",
-    "select_target",
-    "AcceleratorConfig",
-    "CycleReport",
-    "group_filters",
-    "mask_stream_trace",
-    "simulate_layer",
-    "simulate_model",
-]
+__all__ = ["__version__"] + [n for n, v in list(globals().items()) if n[0] != "_" and not isinstance(v, _Module)]

@@ -21,7 +21,7 @@ relative speedup, not absolute latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,9 +42,13 @@ class AcceleratorConfig:
         check_settings(self, ValueError)
 
 
+# the cycle counts of a layer, which a whole-network report totals
+CYCLE_COUNTS = ("dense_cycles", "sparse_cycles", "idle_mac_slots", "stall_cycles")
+
+
 @dataclass
 class LayerCycleReport:
-    layer_idx: int
+    layer: int
     kind: str
     eligible: bool
     dense_cycles: int
@@ -56,18 +60,21 @@ class LayerCycleReport:
     def speedup(self) -> float:
         return self.dense_cycles / self.sparse_cycles
 
+    def to_json(self) -> dict:
+        return {**asdict(self), "speedup": self.speedup}
+
 
 @dataclass
 class CycleReport:
-    dense_cycles: int = 0
-    sparse_cycles: int = 0
-    idle_mac_slots: int = 0
-    stall_cycles: int = 0
-    per_layer: list[LayerCycleReport] = field(default_factory=list)
+    """A whole-network report; each of CYCLE_COUNTS is an attribute holding its total over per_layer."""
 
-    @property
-    def speedup(self) -> float:
-        return self.dense_cycles / self.sparse_cycles
+    per_layer: list[LayerCycleReport]
+
+    def __post_init__(self) -> None:
+        for name in CYCLE_COUNTS:
+            setattr(self, name, sum(getattr(r, name) for r in self.per_layer))
+
+    speedup = LayerCycleReport.speedup  # dense over sparse cycles, of the totals
 
     def eligible_speedup(self) -> float:
         dense = sum(r.dense_cycles for r in self.per_layer if r.eligible)
@@ -75,26 +82,8 @@ class CycleReport:
         return dense / sparse if sparse else 1.0
 
     def to_json(self) -> dict:
-        return {
-            "dense_cycles": self.dense_cycles,
-            "sparse_cycles": self.sparse_cycles,
-            "idle_mac_slots": self.idle_mac_slots,
-            "stall_cycles": self.stall_cycles,
-            "speedup": self.speedup,
-            "per_layer": [
-                {
-                    "layer": r.layer_idx,
-                    "kind": r.kind,
-                    "eligible": r.eligible,
-                    "dense_cycles": r.dense_cycles,
-                    "sparse_cycles": r.sparse_cycles,
-                    "idle_mac_slots": r.idle_mac_slots,
-                    "stall_cycles": r.stall_cycles,
-                    "speedup": r.speedup,
-                }
-                for r in self.per_layer
-            ],
-        }
+        totals = {name: getattr(self, name) for name in CYCLE_COUNTS}
+        return {**totals, "speedup": self.speedup, "per_layer": [r.to_json() for r in self.per_layer]}
 
 
 def group_filters(
@@ -189,7 +178,7 @@ def simulate_layer(
         idle_per_pos += i
         stalls_per_pos += s
     return LayerCycleReport(
-        layer_idx=layer_idx,
+        layer=layer_idx,
         kind=model.layers[layer_idx].kind,
         eligible=True,
         dense_cycles=positions * len(groups) * weights_per_filter,
@@ -204,7 +193,7 @@ def _dense_layer_report(model: Model, layer_idx: int, cfg: AcceleratorConfig) ->
     n_groups = -(-filters.shape[0] // cfg.group_size)
     cycles = model.output_positions(layer_idx) * n_groups * filters.shape[1]
     return LayerCycleReport(
-        layer_idx=layer_idx,
+        layer=layer_idx,
         kind=model.layers[layer_idx].kind,
         eligible=False,
         dense_cycles=cycles,
@@ -220,15 +209,11 @@ def simulate_model(model: Model, plan: SparsificationPlan, cfg: AcceleratorConfi
     Noise-eligible conv/dense layers run under the plan's masks; the
     rest execute dense on both sides of the comparison.
     """
-    report = CycleReport()
-    for idx in model.parametric_layers():
-        if model.layers[idx].noise_eligible and idx in plan.masks:
-            layer_report = simulate_layer(model, idx, plan, cfg)
-        else:
-            layer_report = _dense_layer_report(model, idx, cfg)
-        report.per_layer.append(layer_report)
-        report.dense_cycles += layer_report.dense_cycles
-        report.sparse_cycles += layer_report.sparse_cycles
-        report.idle_mac_slots += layer_report.idle_mac_slots
-        report.stall_cycles += layer_report.stall_cycles
-    return report
+    return CycleReport(
+        [
+            simulate_layer(model, idx, plan, cfg)
+            if model.layers[idx].noise_eligible and idx in plan.masks
+            else _dense_layer_report(model, idx, cfg)
+            for idx in model.parametric_layers()
+        ]
+    )

@@ -22,7 +22,7 @@ they take no seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -285,6 +285,8 @@ def pick_exemplars(dataset, probs: np.ndarray) -> dict[int, np.ndarray]:
 # adversarial-set container (same style as the model container)
 
 _SET_MAGIC = b"SDADVS01"
+# the AdversarialSample fields a manifest entry holds: all but the two arrays, which go in the blob
+_SAMPLE_FIELDS = tuple(f.name for f in fields(AdversarialSample) if f.name not in ("original", "perturbed"))
 
 
 def save_adversarial_set(
@@ -295,16 +297,8 @@ def save_adversarial_set(
     blob = bytearray()
     entries = []
     for s in samples:
-        entry = {
-            "kind": s.kind,
-            "target_class": s.target_class,
-            "source_class": s.source_class,
-            "success": s.success,
-            "l2_distortion": s.l2_distortion,
-            "attack_l1_to_target": s.attack_l1_to_target,
-            "shape": list(s.original.shape),
-            "orig_offset": len(blob),
-        }
+        entry = {name: getattr(s, name) for name in _SAMPLE_FIELDS}
+        entry.update(shape=list(s.original.shape), orig_offset=len(blob))
         blob.extend(s.original.astype("<f8").tobytes())
         entry["pert_offset"] = len(blob)
         blob.extend(s.perturbed.astype("<f8").tobytes())
@@ -328,12 +322,7 @@ def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample]
             AdversarialSample(
                 original=read_blob_array(blob, e["orig_offset"], e["shape"], AttackError),
                 perturbed=read_blob_array(blob, e["pert_offset"], e["shape"], AttackError),
-                target_class=e["target_class"],
-                success=e["success"],
-                l2_distortion=e["l2_distortion"],
-                kind=e["kind"],
-                source_class=e["source_class"],
-                attack_l1_to_target=e["attack_l1_to_target"],
+                **{name: e[name] for name in _SAMPLE_FIELDS},
             )
             for e in manifest["samples"]
         ]

@@ -5,7 +5,7 @@ parametric layers. Inference and gradients are composed from the layer
 functions in :mod:`stochdet.nn` and are batch-first like them:
 ``forward_trace``, ``Trace.backward`` and ``loss_gradients`` run x[N, ...]
 and each row is byte for byte that input run as a batch of one.
-``predict``, ``input_gradient`` and ``loss_value`` take one input;
+``predict`` takes one input;
 ``predict_batch``, ``train`` and the attack descents run their rows in
 blocks of ``BATCH_ROWS``. The reference pass never applies
 masks; noisy passes supply per-layer weight masks or activation noise
@@ -38,6 +38,8 @@ from .rng import substream
 
 PARAMETRIC_KINDS = ("conv2d", "dense")
 LAYER_KINDS = ("conv2d", "relu", "maxpool2d", "dense", "softmax")
+# the LayerSpec fields that size each kind of layer; the other kinds have none
+LAYER_SIZES = {"conv2d": ("out_channels", "kernel", "stride"), "dense": ("out_features",)}
 
 RATE_GRID_STEPS = 32
 RATE_GRID = np.arange(RATE_GRID_STEPS) / RATE_GRID_STEPS
@@ -72,9 +74,9 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in LAYER_KINDS:
             raise ModelFormatError(f"unknown layer kind {self.kind!r}")
-        sizes = {"conv2d": (self.out_channels, self.kernel, self.stride), "dense": (self.out_features,)}
-        if not all(type(v) is int and v >= 1 for v in sizes.get(self.kind, ())):
-            raise ModelFormatError(f"{self.kind} layer sizes must be positive integers, got {sizes[self.kind]}")
+        sizes = tuple(getattr(self, name) for name in LAYER_SIZES.get(self.kind, ()))
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise ModelFormatError(f"{self.kind} layer sizes must be positive integers, got {sizes}")
 
 
 def conv_pool_arch(channels: tuple[int, ...], kernel: int, class_count: int) -> list[LayerSpec]:
@@ -288,19 +290,6 @@ def loss_gradients(model: Model, x: np.ndarray, loss, *, input_grad: bool = True
     return trace, values, dx, grads
 
 
-def input_gradient(model: Model, x: np.ndarray, loss) -> np.ndarray:
-    """d(loss)/d(input) of one input x for the dense (mask-free) model."""
-    return loss_gradients(model, np.asarray(x, dtype=np.float64)[None], loss, param_grads=False)[2][0]
-
-
-def loss_value(model: Model, x: np.ndarray, loss) -> float:
-    """The loss of one mask-free forward of one input x, with no backward pass."""
-    batch = np.asarray(x, dtype=np.float64)[None]
-    trace = model.forward_trace(batch)
-    values, _, _ = loss.value_and_grads(trace.logits, trace.probs, batch)
-    return float(values[0])
-
-
 # ---------------------------------------------------------------------------
 # construction / training
 
@@ -502,15 +491,11 @@ def accuracy(model: Model, dataset: Dataset) -> float:
 
 
 def _arch_manifest(layers: list[LayerSpec]) -> list[dict]:
-    out = []
-    for spec in layers:
-        entry: dict = {"kind": spec.kind, "noise_eligible": spec.noise_eligible}
-        if spec.kind == "conv2d":
-            entry.update(out_channels=spec.out_channels, kernel=spec.kernel, stride=spec.stride)
-        elif spec.kind == "dense":
-            entry.update(out_features=spec.out_features)
-        out.append(entry)
-    return out
+    """Each layer's kind, noise flag and the size fields of its kind."""
+    return [
+        {"kind": s.kind, "noise_eligible": s.noise_eligible, **{k: getattr(s, k) for k in LAYER_SIZES.get(s.kind, ())}}
+        for s in layers
+    ]
 
 
 def save_model(model: Model, provenance: dict | None = None) -> bytes:
@@ -582,17 +567,9 @@ def load_model(data: bytes) -> Model:
     """Model from a container; a corrupt or inconsistent one raises ModelFormatError."""
     manifest, blob = read_container(data, _MAGIC, ModelFormatError)
     try:
-        layers = [
-            LayerSpec(
-                entry["kind"],
-                out_channels=entry.get("out_channels", 0),
-                kernel=entry.get("kernel", 0),
-                stride=entry.get("stride", 1),
-                out_features=entry.get("out_features", 0),
-                noise_eligible=entry.get("noise_eligible", True),
-            )
-            for entry in manifest["layers"]
-        ]
+        # a field the entry leaves out takes its LayerSpec default
+        names = [f.name for f in fields(LayerSpec)]
+        layers = [LayerSpec(**{k: e[k] for k in names if k in e}) for e in manifest["layers"]]
         input_shape, class_count = tuple(manifest["input_shape"]), manifest["class_count"]
         shapes = _propagate_shapes(layers, input_shape)
         if type(class_count) is not int or shapes[-1] != (class_count,):

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accelsim import AcceleratorConfig, CycleReport, simulate_model
+from .accelsim import AcceleratorConfig, CycleReport, LayerCycleReport, simulate_model
 from .attacks import (
     AttackConfig,
     AttackError,
@@ -247,7 +247,9 @@ def verify_artifact(path: Path) -> tuple[bool, str]:
         if path.suffix == ".csv":
             lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
             marks = [l.split("=", 1)[1].strip() for l in lines if l.startswith("# payload_sha256=")]
-            declared, body = (marks or [""])[-1], "".join(l for l in lines if not l.startswith("# "))
+            if not marks:
+                raise ValueError("no '# payload_sha256=' line")
+            declared, body = marks[-1], "".join(l for l in lines if not l.startswith("# "))
             actual = hashlib.sha256(body.encode()).hexdigest()
         elif path.suffix == ".jsonl":
             first, *rest = path.read_text(encoding="utf-8").splitlines()
@@ -362,7 +364,7 @@ class RunState:
 
     def _load_table(self) -> ThresholdTable:
         """The given table; one made for another model, rate grid or layer shape is a ConfigError."""
-        table, model = self._read_given("table", ThresholdTable.from_json), self["model"]
+        table, model = self._read_json(self._given_path("table"), "table", ThresholdTable.from_json), self["model"]
         if table.model_fingerprint != model.fingerprint():
             raise ConfigError(f"{self.paths['table']} was profiled for another model")
         shapes = {i: (model.params[i]["w"].shape[0], RATE_GRID_STEPS) for i in model.parametric_layers()}
@@ -372,11 +374,12 @@ class RunState:
         return table
 
     def _load_thresholds(self) -> DetectionThresholds:
-        return self._read_given("thresholds", lambda payload: DetectionThresholds.from_json(payload["thresholds"]))
+        path = self._given_path("thresholds")
+        return self._read_json(path, "thresholds", lambda payload: DetectionThresholds.from_json(payload["thresholds"]))
 
-    def _read_given(self, name: str, parse):
-        """`parse` of the payload of the JSON artifact at the given path; a corrupt one is a ConfigError."""
-        path = self._given_path(name)
+    @staticmethod
+    def _read_json(path: Path, name: str, parse=lambda payload: payload):
+        """`parse` of the payload of the JSON artifact at path; a corrupt one is a ConfigError."""
         try:
             return parse(read_json_artifact(path)[1])
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
@@ -396,10 +399,10 @@ class RunState:
         }
 
     def _load_metrics(self) -> dict:
-        return read_json_artifact(self._run_file("metrics.json", "eval"))[1]
+        return self._read_json(self._run_file("metrics.json", "eval"), "metrics")
 
     def _load_cycles(self) -> dict:
-        return read_json_artifact(self._run_file("cycles.json", "simulate"))[1]
+        return self._read_json(self._run_file("cycles.json", "simulate"), "cycles")
 
 
 # Each stage reads its inputs from the run state, stores and writes what it
@@ -566,17 +569,7 @@ def evaluate_attack_sets(
         samples = adv_sets[spec.name]
         successful = [s for s in samples if s.success]
         adv_verdicts = detect_set(model, table, det_cfg, [s.perturbed for s in successful], "adversarial")
-        detection = (
-            sum(1 for v in adv_verdicts if v.label == "adversarial") / len(adv_verdicts)
-            if adv_verdicts
-            else None
-        )
-        mean_l2 = float(np.mean([s.l2_distortion for s in successful])) if successful else None
-        mean_conf = (
-            float(np.mean(model.predict_batch([s.perturbed for s in successful]).probs.max(axis=1)))
-            if successful
-            else None
-        )
+        confidences = model.predict_batch([s.perturbed for s in successful]).probs.max(axis=1) if successful else []
         l1_to_target = [s.attack_l1_to_target for s in successful if s.attack_l1_to_target is not None]
         metrics_by_attack[spec.name] = {
             "attack": spec.name,
@@ -585,26 +578,29 @@ def evaluate_attack_sets(
             "sources": len(samples),
             "successes": len(successful),
             "success_rate": len(successful) / len(samples) if samples else 0.0,
-            "mean_l2_distortion": mean_l2,
-            "mean_confidence": mean_conf,
-            "mean_l1_to_target": float(np.mean(l1_to_target)) if l1_to_target else None,
+            "mean_l2_distortion": _mean([s.l2_distortion for s in successful]),
+            "mean_confidence": _mean(confidences),
+            "mean_l1_to_target": _mean(l1_to_target),
             "metrics": {
-                "detection_rate": detection,
+                "detection_rate": _mean([v.label == "adversarial" for v in adv_verdicts]),
                 "fpr": benign_fpr,
                 "tpr": 1.0 - benign_fpr,
-                "mean_runs": float(np.mean(benign_runs + [v.runs_used for v in adv_verdicts])),
+                "mean_runs": _mean(benign_runs + [v.runs_used for v in adv_verdicts]),
                 "benign_count": len(benign_verdicts),
                 "adversarial_count": len(adv_verdicts),
             },
-            "mean_runs_adversarial": (
-                float(np.mean([v.runs_used for v in adv_verdicts])) if adv_verdicts else None
-            ),
+            "mean_runs_adversarial": _mean([v.runs_used for v in adv_verdicts]),
         }
         verdict_sets[spec.name] = adv_verdicts
     for name, verdicts in verdict_sets.items():
         write_verdict_log(out_dir / f"verdicts_{name}.jsonl", verdicts, cfg)
     write_json_artifact(out_dir / "l1_histograms.json", build_histograms(verdict_sets), cfg)
     return metrics_by_attack, benign_fpr
+
+
+def _mean(values) -> float | None:
+    """The mean of a sequence as a float, or None for an empty one."""
+    return float(np.mean(values)) if len(values) else None
 
 
 def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
@@ -656,44 +652,24 @@ def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:
     return payload
 
 
+# Each attack CSV as (file, the attack kind it keeps or None for all, sort key, columns). A column names
+# a field of an attack's metrics record or of its "metrics"; "k" and "beta" name its swept param.
+REPORT_CSVS = (
+    ("metrics.csv", None, "kind param attack", "attack kind param sources successes success_rate "
+     "mean_l2_distortion mean_confidence mean_l1_to_target detection_rate fpr tpr mean_runs"),
+    ("k_sweep.csv", "cw_l2", "param", "k mean_l2_distortion detection_rate"),
+    ("beta_sweep.csv", "defense_aware", "param", "beta mean_confidence mean_l1_to_target mean_l2_distortion "
+     "detection_rate"),
+)
+
+
 def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: dict, sim_summary: dict) -> None:
-    record_columns = ["attack", "kind", "param", "sources", "successes", "success_rate"]
-    record_columns += ["mean_l2_distortion", "mean_confidence", "mean_l1_to_target"]
-    metric_columns = ["detection_rate", "fpr", "tpr", "mean_runs"]
-    rows = [
-        [rec[c] for c in record_columns] + [rec["metrics"][c] for c in metric_columns]
-        for rec in sorted(metrics_by_attack.values(), key=lambda r: (r["kind"], r["param"], r["attack"]))
-    ]
-    write_csv_artifact(out_dir / "metrics.csv", record_columns + metric_columns, rows, cfg)
-
-    # k sweep over margin attacks (detection vs. attack strength)
-    k_rows = [
-        [rec["param"], rec["mean_l2_distortion"], rec["metrics"]["detection_rate"]]
-        for rec in sorted(metrics_by_attack.values(), key=lambda r: r["param"])
-        if rec["kind"] == "cw_l2"
-    ]
-    write_csv_artifact(out_dir / "k_sweep.csv", ["k", "mean_l2_distortion", "detection_rate"], k_rows, cfg)
-
-    # beta sweep over defense-aware attacks
-    b_rows = [
-        [
-            rec["param"],
-            rec["mean_confidence"],
-            rec["mean_l1_to_target"],
-            rec["mean_l2_distortion"],
-            rec["metrics"]["detection_rate"],
-        ]
-        for rec in sorted(metrics_by_attack.values(), key=lambda r: r["param"])
-        if rec["kind"] == "defense_aware"
-    ]
-    write_csv_artifact(
-        out_dir / "beta_sweep.csv",
-        ["beta", "mean_confidence", "mean_l1_to_target", "mean_l2_distortion", "detection_rate"],
-        b_rows,
-        cfg,
-    )
-
-    # cycle report per layer
-    columns = ["layer", "kind", "eligible", "dense_cycles", "sparse_cycles", "idle_mac_slots", "stall_cycles", "speedup"]
-    c_rows = [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
-    write_csv_artifact(out_dir / "cycles.csv", columns, c_rows, cfg)
+    """The REPORT_CSVS views of the attack records, and cycles.csv: the first simulated plan's per-layer report."""
+    for name, kind, key, columns in REPORT_CSVS:
+        records = [{**r, **r["metrics"], "k": r["param"], "beta": r["param"]} for r in metrics_by_attack.values()]
+        records = sorted((r for r in records if kind in (None, r["kind"])), key=lambda r: [r[c] for c in key.split()])
+        rows = [[r[c] for c in columns.split()] for r in records]
+        write_csv_artifact(out_dir / name, columns.split(), rows, cfg)
+    columns = [*LayerCycleReport.__dataclass_fields__, "speedup"]
+    rows = [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
+    write_csv_artifact(out_dir / "cycles.csv", columns, rows, cfg)

@@ -6,12 +6,13 @@ session-scoped and derived deterministically from FIXTURE_SEED.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from stochdet.attacks import AttackConfig, attack_sets, pick_exemplars
 from stochdet.data import synth_dataset
 from stochdet.detector import calibrate, calibration_distances
-from stochdet.model import TrainConfig, conv_pool_arch, profile_thresholds, train
+from stochdet.model import TrainConfig, conv_pool_arch, loss_gradients, profile_thresholds, train
 from stochdet.rng import derive_seed
 from stochdet.sparsify import NoiseConfig
 
@@ -131,3 +132,16 @@ def defense_aware_sets(fixture_model, attack_sources, fixture_exemplars):
 
 def successful_inputs(samples):
     return [s.perturbed for s in samples if s.success]
+
+
+def input_gradient(model, x, loss) -> np.ndarray:
+    """d(loss)/d(input) of one input x for the mask-free model."""
+    return loss_gradients(model, np.asarray(x, dtype=np.float64)[None], loss, param_grads=False)[2][0]
+
+
+def loss_value(model, x, loss) -> float:
+    """The loss of one mask-free forward of one input x, with no backward pass."""
+    batch = np.asarray(x, dtype=np.float64)[None]
+    trace = model.forward_trace(batch)
+    values, _, _ = loss.value_and_grads(trace.logits, trace.probs, batch)
+    return float(values[0])

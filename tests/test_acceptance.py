@@ -20,17 +20,11 @@ from stochdet.detector import (
     decide,
     first_pass_distances,
 )
-from stochdet.model import (
-    LayerSpec,
-    RATE_GRID,
-    init_model,
-    input_gradient,
-    loss_value,
-)
+from stochdet.model import LayerSpec, RATE_GRID, init_model
 from stochdet.pipeline import ExperimentConfig, run_pipeline
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import draw_plan, noisy_activation_forward, noisy_forward
-from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, successful_inputs
+from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, input_gradient, loss_value, successful_inputs
 from tests.test_golden import check_golden
 from tests.test_nn import assert_gradients_close, fd_probe_is_smooth, finite_difference
 

@@ -20,7 +20,7 @@ from stochdet.attacks import (
     select_target,
 )
 from stochdet.nn import CompositeLoss, ProbVector
-from stochdet.model import input_gradient, loss_value
+from tests.conftest import input_gradient, loss_value
 from tests.test_nn import finite_difference
 
 

@@ -141,8 +141,9 @@ def test_verify_flags_tampering(pipeline_run, tmp_path):
         ("list_root.json", "[1, 2]"),
         ("text_provenance.json", '{"provenance": "x", "payload": {}}'),
         ("number_hash.json", '{"provenance": {"payload_sha256": 5}, "payload": {}}'),
+        ("no_hash.csv", "# base_seed=7\nattack,kind\ncw_l2_next_k0,cw_l2\n"),
     ],
-    ids=["empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash"],
+    ids=["empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash", "csv-without-hash"],
 )
 def test_verify_flags_unreadable_provenance_and_goes_on(pipeline_run, tmp_path, capsys, name, text):
     cfg, _ = pipeline_run
@@ -230,20 +231,32 @@ def test_report_reads_only_metrics_and_cycles(pipeline_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("content", ["{}", "not json"], ids=["empty-object", "not-json"])
 @pytest.mark.parametrize(
-    "command,corrupt", [("calibrate", "table"), ("eval", "thresholds"), ("detect", "adversarial-set")]
+    "command,corrupt",
+    [
+        ("calibrate", "table"),
+        ("eval", "thresholds"),
+        ("detect", "adversarial-set"),
+        ("report", "metrics"),
+        ("report", "cycles"),
+    ],
 )
 def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, capsys, command, corrupt, content):
-    run_dir = Path(pipeline_run[0].out_dir)
-    (tmp_path / "corrupt.json").write_text(content)
+    run_dir, out = Path(pipeline_run[0].out_dir), tmp_path / "out"
+    bad = tmp_path / "corrupt.json"
     given = {"model": run_dir / "model.bin", "table": run_dir / "threshold_table.json"}
     if command in ("eval", "detect"):
         given["thresholds"] = run_dir / "thresholds.json"
-    given[corrupt] = tmp_path / "corrupt.json"
-    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    if command == "report":  # report reads metrics.json and cycles.json from --out
+        given, bad = {}, out / f"{corrupt}.json"
+        shutil.copytree(run_dir, out)
+    else:
+        given[corrupt] = bad
+    bad.write_text(content)
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out)]
     argv += [arg for name, path in given.items() for arg in (f"--{name}", str(path))]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "corrupt.json" in err
+    assert "config error" in err and str(bad) in err
 
 
 @pytest.mark.parametrize("mismatch", ["fingerprint", "rate-grid", "grid-columns", "missing-layer"])
@@ -433,6 +446,13 @@ def test_readme_config_block_states_the_defaults():
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     assert ExperimentConfig.from_json(json.loads(block)) == ExperimentConfig(out_dir="runs/demo")
     assert TrainConfig() == ExperimentConfig().train
+
+
+def test_readme_import_block_names_only_exports():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library_use = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+    statement = library_use[library_use.index("from stochdet import (") :].split(")", 1)[0] + ")"
+    exec(statement, {})  # an ImportError names the export README promises and the package lost
 
 
 def test_run_without_a_config_file_uses_the_defaults(tmp_path, monkeypatch):

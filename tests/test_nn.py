@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochdet import nn
-from stochdet.model import LayerSpec, Model, conv_pool_arch, init_model, input_gradient, loss_gradients, loss_value
+from stochdet.model import LayerSpec, Model, conv_pool_arch, init_model, loss_gradients
 from stochdet.rng import substream
+from tests.conftest import input_gradient, loss_value
 
 # gradient checks: relative tolerance with a small absolute floor, since
 # central differences carry O(h^2) truncation error around 1e-8
