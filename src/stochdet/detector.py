@@ -27,7 +27,7 @@ import numpy as np
 from .model import Model, ThresholdTable
 from .nn import ProbVector
 from .rng import derive_seed
-from .sparsify import NoiseConfig, SparsificationPlan, confidence, draw_plan, noise_budget, noisy_forward
+from .sparsify import NoiseConfig, SparsificationPlan, confidence, draw_plan, noise_budget, noisy_forward, rate_bank
 
 # benign first-pass distances calibrate needs for stable upper quantiles
 MIN_CALIBRATION_SAMPLES = 100
@@ -148,23 +148,23 @@ def noisy_passes(
 
     The reference pass and the noise budget are computed once for every
     pass; pass seeds derive from (base_seed, i) alone. Each noisy pass
-    starts at its plan's first masked layer, from the reference trace's
+    starts at the first masked layer, from the reference trace's
     (read-only) input to it, which the layers before would recompute bit
-    for bit.
+    for bit, and a conv2d there reads that input's columns, gathered once.
     """
     trace = model.forward_trace(np.asarray(x)[None])
     for shared in trace.inputs[1:-1]:  # inputs[0] is the caller's x, inputs[-1] the logits
         shared.flags.writeable = False
     ref = trace.output[0]
     budget = noise_budget(confidence(ref), noise)
+    start = min(rate_bank(model, table), default=0)
+    cols = model.layer_columns(start, trace.inputs[start])
 
     def plan(base_seed: int, i: int) -> SparsificationPlan:
         return draw_plan(model, table, budget, derive_seed(base_seed, "pass", i))
 
     def distance(base_seed: int, i: int) -> float:
-        p = plan(base_seed, i)
-        start = min(p.masks, default=0)
-        return l1_distance(noisy_forward(model, p, trace.inputs[start][0], start), ref)
+        return l1_distance(noisy_forward(model, plan(base_seed, i), trace.inputs[start][0], start, cols), ref)
 
     return ref, plan, distance
 

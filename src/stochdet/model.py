@@ -7,13 +7,13 @@ functions in :mod:`stochdet.nn` and are batch-first like them:
 and each row is byte for byte that input run as a batch of one.
 ``predict`` takes one input;
 ``predict_batch``, ``train`` and the attack descents run their rows in
-blocks of ``BATCH_ROWS``. The reference pass never applies
-masks; noisy passes supply per-layer weight masks or activation noise
-factors through ``forward_trace``. A noisy pass starts from the reference
-trace's input to its first masked layer (``forward_trace(start=...)``).
-Reference and noisy passes are cache-less; only the mask-free forward
-of a backward (``loss_gradients``: training and attack gradients) fills
-the layer caches (``cache=True``).
+blocks of ``BATCH_ROWS``. Every pass runs one loop, ``run_layers``, over
+layer calls bound once per model; they read the parameters on each call.
+Noisy passes substitute sparsified weight tensors (``weights=``) or
+activation noise factors, from the reference trace's input to their first
+masked layer (``start=``). Only the noise-free forward of a backward
+(``loss_gradients``: training and attack gradients) fills the layer
+caches (``cache=True``).
 
 The container format is a JSON manifest (architecture, shapes, byte
 offsets) followed by a little-endian float64 weight blob.
@@ -107,13 +107,14 @@ class Model:
     def __post_init__(self) -> None:
         if not self.layer_input_shapes:
             self.layer_input_shapes = _propagate_shapes(self.layers, self.input_shape)
+        self._calls = [_FORWARD[spec.kind](spec) for spec in self.layers]
 
     # ---- inference -------------------------------------------------
 
     def forward_trace(
         self,
         x: np.ndarray,
-        masks: dict[int, np.ndarray] | None = None,
+        weights: dict[int, np.ndarray] | None = None,
         act_factors: dict[int, np.ndarray] | None = None,
         *,
         start: int = 0,
@@ -124,36 +125,46 @@ class Model:
         x[N, ...] is the input to layer `start`: a batch of model inputs when
         start is 0, or a trace's input to that layer, for a pass that shares
         the layers before it. x is only read, so a shared prefix stays intact.
-        masks: optional per-layer 0/1 arrays over conv/dense weights.
+        weights: optional per-layer tensors that replace conv/dense weights.
         act_factors: optional multiplicative factors applied to the outputs
         of the layers they name (relu layers, in the activation-noise study
         mode).
-        cache=True also keeps what backward needs, for a mask- and
+        cache=True also keeps what backward needs, for a substitution- and
         noise-free forward from the model input; outputs are the same bytes.
         """
         if not 0 <= start < len(self.layers):
             raise ValueError(f"start layer {start} outside the model's {len(self.layers)} layers")
-        if cache and (masks or act_factors or start):
-            raise ValueError("a cached forward must start at layer 0 without masks or act_factors")
+        if cache and (weights or act_factors or start):
+            raise ValueError("a cached forward must start at layer 0 without weights or act_factors")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 0 or x.shape[1:] != self.layer_input_shapes[start]:
             what = "model input" if start == 0 else f"layer {start} input"
             raise nn.ShapeError(f"input batch {x.shape} does not match {what} {self.layer_input_shapes[start]} per row")
-        masks, act_factors = masks or {}, act_factors or {}
         inputs: list[np.ndarray] = []
         caches: list[dict] | None = [] if cache else None
-        out = x
-        for idx in range(start, len(self.layers)):
-            spec = self.layers[idx]
-            inputs.append(out)
-            layer_cache = {} if cache else None
-            out = _FORWARD[spec.kind](spec, self.params.get(idx), out, masks.get(idx), layer_cache)
-            if idx in act_factors:
-                out = out * act_factors[idx]
-            if cache:
-                caches.append(layer_cache)
-        # softmax is always the last layer: out is its ProbVector and its input the logits
+        out = self.run_layers(x, start, weights, inputs=inputs, caches=caches, act_factors=act_factors)
         return Trace(model=self, inputs=inputs, caches=caches, output=out)
+
+    def run_layers(self, x, start=0, weights=None, cols=None, *, inputs=None, caches=None, act_factors=None):
+        """The one forward loop: the float64 batch x[N, ...], unchecked, through the layers from `start`.
+
+        weights replaces conv/dense weights by layer index; cols are x's columns for a conv2d layer
+        `start` (nn.conv2d_columns). inputs and caches, when given, collect each layer's input and
+        backward cache. Returns the softmax's ProbVector, whose input is the logits.
+        """
+        params, weights, act_factors = self.params, weights or {}, act_factors or {}
+        cache = None
+        for idx in range(start, len(self._calls)):
+            if inputs is not None:
+                inputs.append(x)
+            if caches is not None:
+                cache = {}
+                caches.append(cache)
+            x = self._calls[idx](x, params.get(idx), weights.get(idx), cache, cols)
+            cols = None
+            if idx in act_factors:
+                x = x * act_factors[idx]
+        return x
 
     def predict(self, x: np.ndarray) -> nn.ProbVector:
         """Mask-free reference pass of one input; repeated calls agree bitwise."""
@@ -175,6 +186,11 @@ class Model:
         """Weights of one layer as (n_filters, weights_per_filter)."""
         w = self.params[layer_idx]["w"]
         return w.reshape(w.shape[0], -1)
+
+    def layer_columns(self, layer_idx: int, x: np.ndarray) -> np.ndarray | None:
+        """The columns conv2d layer `layer_idx` reads from its input batch x (None for other kinds)."""
+        spec = self.layers[layer_idx]
+        return nn.conv2d_columns(x, spec.kernel, spec.kernel, spec.stride) if spec.kind == "conv2d" else None
 
     def output_positions(self, layer_idx: int) -> int:
         """Spatial output positions a filter is applied at (1 for dense)."""
@@ -257,15 +273,17 @@ class Trace:
         return d, grads
 
 
-# Each layer kind's forward, (spec, params, x, mask, cache) -> y, and backward,
+# Each layer kind's forward bound to its spec, (x, params, w or None, cache, cols) -> y, and backward,
 # (spec, params, dy, x, cache, input_grad, param_grads) -> (dx or None, {"w": dw, "b": db} or None).
 # Entries look `nn.<fn>` up when called, so a patched module attribute (a tracer's wrapper) is what runs.
 _FORWARD = {
-    "conv2d": lambda s, p, x, m, c: nn.conv2d_forward(x, p["w"], p["b"], s.stride, mask=m),
-    "relu": lambda s, p, x, m, c: nn.relu_forward(x),
-    "maxpool2d": lambda s, p, x, m, c: nn.maxpool2d_forward(x, cache=c),
-    "dense": lambda s, p, x, m, c: nn.dense_forward(x, p["w"], p["b"], mask=m),
-    "softmax": lambda s, p, x, m, c: nn.softmax(x),
+    "conv2d": lambda s: lambda x, p, w, c, cols, stride=s.stride: nn.conv2d_forward(
+        x, p["w"] if w is None else w, p["b"], stride, cols=cols
+    ),
+    "relu": lambda s: lambda x, p, w, c, cols: nn.relu_forward(x),
+    "maxpool2d": lambda s: lambda x, p, w, c, cols: nn.maxpool2d_forward(x, cache=c),
+    "dense": lambda s: lambda x, p, w, c, cols: nn.dense_forward(x, p["w"] if w is None else w, p["b"]),
+    "softmax": lambda s: lambda x, p, w, c, cols: nn.softmax(x),
 }
 _BACKWARD = {
     "conv2d": lambda s, p, d, x, c, dx, pg: nn.conv2d_backward(d, x, p["w"], s.stride, input_grad=dx, param_grads=pg),
@@ -276,7 +294,7 @@ _BACKWARD = {
 
 
 def loss_gradients(model: Model, x: np.ndarray, loss, *, input_grad: bool = True, param_grads: bool = True):
-    """One mask-free forward of the batch x, the loss and one backward: (trace, values, dx, param_grads).
+    """One noise-free forward of the batch x, the loss and one backward: (trace, values, dx, param_grads).
 
     values holds one loss per row. dx is d(loss)/d(input) per row, the
     loss's direct input term included, or None when input_grad is false;

@@ -20,13 +20,12 @@ summation order with N, and so does ``np.sum`` over the batch axis; callers
 sum per-row parameter gradients in sample order (``acc = g[0].copy();
 acc += g[r]``). Every other reduction runs along a row's own last axis.
 
-Weight masks: ``conv2d_forward`` and ``dense_forward`` accept an optional
-0/1 mask over the weight tensor, shared by every row. Masking is
-implemented by multiplying the weights by the mask before use, so a masked
-pass is bitwise equal to a dense pass over a copy of the model whose masked
-weights are zero. Masked passes never run a backward, so the backward
-functions take no mask; only a cached forward (training and attack
-gradients) feeds them.
+Weight substitution: a noisy pass hands ``conv2d_forward`` and
+``dense_forward`` the masked weights ``w * mask`` themselves (formed once
+per filter and grid rate by :mod:`stochdet.sparsify`), so it is bitwise a
+dense pass over a copy of the model whose masked weights are zero. Noisy
+passes never run a backward. Forwards take float64 arrays as they are and
+check every extent; passes over one conv input share its ``cols``.
 """
 
 from __future__ import annotations
@@ -46,15 +45,6 @@ def _as_f64(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _apply_mask(w: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return w
-    m = np.asarray(mask)
-    if m.size != w.size:
-        raise ShapeError(f"mask has {m.size} entries for a weight tensor of {w.size}")
-    return w * m.reshape(w.shape).astype(np.float64)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -64,10 +54,12 @@ def conv2d_forward(
     w: np.ndarray,
     b: np.ndarray,
     stride: int = 1,
-    mask: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Valid cross-correlation of each x[n] in x[N,C_in,H,W] with w[C_out,C_in,kH,kW]."""
-    x, w, b = _as_f64(x), _as_f64(w), _as_f64(b)
+    """Valid cross-correlation of each x[n] in x[N,C_in,H,W] with w[C_out,C_in,kH,kW].
+
+    cols, when given, is conv2d_columns(x, kH, kW, stride), gathered once for several w.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects a 4-d input batch and 4-d weights, got {x.shape} and {w.shape}")
     n, c_in, h, wd = x.shape
@@ -81,12 +73,12 @@ def conv2d_forward(
     if h - kh < 0 or wd - kw < 0:
         raise ShapeError(f"conv2d kernel {kh}x{kw} does not fit input {h}x{wd}")
 
-    y = _apply_mask(w, mask).reshape(c_out, -1) @ _im2col(x, kh, kw, stride)
+    y = w.reshape(c_out, -1) @ (conv2d_columns(x, kh, kw, stride) if cols is None else cols)
     y += b[:, None]
     return y.reshape(n, c_out, (h - kh) // stride + 1, (wd - kw) // stride + 1)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+def conv2d_columns(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """(N, C_in*kH*kW, positions), C-contiguous so that each row's matmul is one BLAS call."""
     return x.ravel()[_batch_patch_index(x.shape, kh, kw, stride)]
 
@@ -132,7 +124,7 @@ def conv2d_backward(
     n = dy.shape[0]
     c_out, _, kh, kw = w.shape
     dy_flat = dy.reshape(n, c_out, -1)
-    dw = (dy_flat @ _im2col(x, kh, kw, stride).transpose(0, 2, 1)).reshape(n, *w.shape) if param_grads else None
+    dw = (dy_flat @ conv2d_columns(x, kh, kw, stride).transpose(0, 2, 1)).reshape(n, *w.shape) if param_grads else None
     dx = _col2im(_as_f64(w).reshape(c_out, -1).T @ dy_flat, x.shape, kh, kw, stride) if input_grad else None
     return dx, ({"w": dw, "b": dy_flat.sum(axis=2)} if param_grads else None)
 
@@ -153,7 +145,7 @@ def _col2im(dcols: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int) ->
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -176,18 +168,16 @@ def maxpool2d_forward(x: np.ndarray, cache: dict | None = None) -> np.ndarray:
     Each output is its window's first maximum in (row, col) order. With a
     cache, the positions backward needs are recorded as well.
     """
-    x = _as_f64(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d expects a 4-d input batch, got shape {x.shape}")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
     if cache is None:
-        # np.maximum returns its second operand on ties, so folding each later
-        # window slice in as the first operand keeps the first maximum (+0 vs -0)
-        out = np.maximum(x[..., ::2, 1::2], x[..., ::2, ::2])
-        np.maximum(x[..., 1::2, ::2], out, out=out)
-        return np.maximum(x[..., 1::2, 1::2], out, out=out)
+        # np.maximum returns its second operand on ties, so passing the later column,
+        # then the later row, as the first operand keeps the first maximum (+0 vs -0)
+        pairs = np.maximum(x[..., 1::2], x[..., ::2])
+        return np.maximum(pairs[..., 1::2, :], pairs[..., ::2, :])
     windows, offsets = _pool_index(x.shape)
     flat = x.ravel()
     # the first maximum of each window, as argmax picks it
@@ -206,17 +196,14 @@ def maxpool2d_backward(dy: np.ndarray, x: np.ndarray, cache: dict) -> np.ndarray
 # dense
 
 
-def dense_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None
-) -> np.ndarray:
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Affine map w @ x[n] + b for each row of x[N, ...], flattened row-major: y[N, m]."""
-    x, w, b = _as_f64(x), _as_f64(w), _as_f64(b)
     m, n_in = w.shape
     if math.prod(x.shape[1:]) != n_in:
         raise ShapeError(f"dense input has {math.prod(x.shape[1:])} values but weights expect {n_in}")
     if b.shape != (m,):
         raise ShapeError(f"dense bias shape {b.shape} does not match {m} outputs")
-    return (_apply_mask(w, mask) @ x.reshape(x.shape[0], n_in, 1))[:, :, 0] + b
+    return (w @ x.reshape(x.shape[0], n_in, 1))[:, :, 0] + b
 
 
 def dense_backward(
@@ -269,17 +256,16 @@ class ProbVector:
 
     @property
     def top_class(self) -> int:
-        return int(np.argmax(self.probs))
+        return int(self.probs.argmax())
 
 
 def softmax(logits: np.ndarray) -> ProbVector:
     """Max-stabilized softmax along the last axis; survives the large logits CW-style attacks produce."""
-    z = _as_f64(logits)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(logits).all():
         raise ValueError("softmax requires finite logits")
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     # finite logits put a 1 in every row of e, so each row sums to 1 within rounding
-    return ProbVector._checked(e / e.sum(axis=-1, keepdims=True), z)
+    return ProbVector._checked(e / e.sum(axis=-1, keepdims=True), logits)
 
 
 def softmax_vjp(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:

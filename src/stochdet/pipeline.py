@@ -399,10 +399,10 @@ class RunState:
         }
 
     def _load_metrics(self) -> dict:
-        return self._read_json(self._run_file("metrics.json", "eval"), "metrics")
+        return self._read_json(self._run_file("metrics.json", "eval"), "metrics", lambda p: (_attack_tables(p), p)[1])
 
     def _load_cycles(self) -> dict:
-        return self._read_json(self._run_file("cycles.json", "simulate"), "cycles")
+        return self._read_json(self._run_file("cycles.json", "simulate"), "cycles", lambda p: (_cycle_table(p), p)[1])
 
 
 # Each stage reads its inputs from the run state, stores and writes what it
@@ -663,13 +663,25 @@ REPORT_CSVS = (
 )
 
 
-def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: dict, sim_summary: dict) -> None:
-    """The REPORT_CSVS views of the attack records, and cycles.csv: the first simulated plan's per-layer report."""
+def _attack_tables(metrics_by_attack) -> dict[str, tuple[list[str], list[list]]]:
+    """Each REPORT_CSVS file's (columns, rows) of the attack records; a wrong shape raises TypeError or KeyError."""
+    if not isinstance(metrics_by_attack, dict):
+        raise TypeError(f"need an object of attack records, got {type(metrics_by_attack).__name__}")
+    tables = {}
     for name, kind, key, columns in REPORT_CSVS:
         records = [{**r, **r["metrics"], "k": r["param"], "beta": r["param"]} for r in metrics_by_attack.values()]
         records = sorted((r for r in records if kind in (None, r["kind"])), key=lambda r: [r[c] for c in key.split()])
-        rows = [[r[c] for c in columns.split()] for r in records]
-        write_csv_artifact(out_dir / name, columns.split(), rows, cfg)
+        tables[name] = columns.split(), [[r[c] for c in columns.split()] for r in records]
+    return tables
+
+
+def _cycle_table(sim_summary) -> tuple[list[str], list[list]]:
+    """cycles.csv's (columns, rows): the first simulated plan's per-layer report."""
     columns = [*LayerCycleReport.__dataclass_fields__, "speedup"]
-    rows = [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
-    write_csv_artifact(out_dir / "cycles.csv", columns, rows, cfg)
+    return columns, [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
+
+
+def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: dict, sim_summary: dict) -> None:
+    """The REPORT_CSVS views of the attack records, and cycles.csv."""
+    for name, (columns, rows) in {**_attack_tables(metrics_by_attack), "cycles.csv": _cycle_table(sim_summary)}.items():
+        write_csv_artifact(out_dir / name, columns, rows, cfg)

@@ -2,10 +2,12 @@
 
 The reference pass's classification confidence sets a noise budget; the
 budget caps per-filter sparsification rates drawn independently for each
-noisy pass. Rates snap down to the profiled grid, map to a magnitude
-threshold, and weights strictly below the threshold are dropped for that
-pass. High-confidence inputs get more noise: confident benign inputs
-tolerate it, while confidently misclassified adversarial inputs do not.
+noisy pass. Rates snap down to the profiled grid, and weights strictly
+below the grid rate's magnitude threshold are dropped for that pass: it
+gathers each filter's mask and masked weights at its rate from a bank of
+every grid rate (`rate_bank`). High-confidence inputs get more noise:
+confident benign inputs tolerate it, while confidently misclassified
+adversarial inputs do not.
 
 The study function `noisy_activation_forward` perturbs relu outputs
 multiplicatively instead of dropping weights, with one flat level for every input. Ranked by
@@ -66,12 +68,13 @@ def noise_budget(conf: float, cfg: NoiseConfig) -> float:
 
 @dataclass
 class SparsificationPlan:
-    """The active-weight masks of one noisy pass, keyed by layer index."""
+    """The active-weight masks of one noisy pass, and the weights they leave, keyed by layer index."""
 
     pass_seed: int
     max_rate: float
     model_fingerprint: str
     masks: dict[int, np.ndarray] = field(default_factory=dict)  # (n_filters, wpf) bool
+    weights: dict[int, np.ndarray] = field(default_factory=dict)  # w * mask, in the layer's weight shape
 
     def nnz(self, layer_idx: int) -> np.ndarray:
         return self.masks[layer_idx].sum(axis=1)
@@ -83,6 +86,31 @@ class SparsificationPlan:
         return 1.0 - kept / total if total else 0.0
 
 
+def rate_bank(model: Model, table: ThresholdTable) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each noise-eligible layer's (row offsets, masks, masked weights) at every grid rate.
+
+    masks and weights hold n_filters * RATE_GRID_STEPS rows, a filter's flattened mask or its
+    weights: row offsets[f] + g is filter f at grid rate g, as the mask |w| >= tau_g and the
+    product w * mask. Built on first use and kept on the table (models and tables are fixed once
+    made, as Model.fingerprint assumes). It holds RATE_GRID_STEPS times the eligible weights as
+    float64 plus bool: 0.5 MB on an (8, 16)-channel, 4-class model at 18x18.
+    """
+    if table.model_fingerprint != model.fingerprint():
+        raise PlanMismatch("threshold table was profiled for a different model")
+    bank = table.__dict__.get("_bank")
+    if bank is None:
+        bank = {}
+        for idx in (i for i in model.parametric_layers() if model.layers[i].noise_eligible):
+            filters, taus = model.filter_matrix(idx), table.thresholds[idx]
+            if taus.shape != (len(filters), RATE_GRID_STEPS):
+                raise PlanMismatch(f"layer {idx} has thresholds of shape {taus.shape}, not one grid row per filter")
+            mask = np.abs(filters)[:, None, :] >= taus[:, :, None]
+            weights = (filters[:, None, :] * mask.astype(np.float64)).reshape(-1, *model.params[idx]["w"].shape[1:])
+            bank[idx] = (np.arange(len(filters)) * RATE_GRID_STEPS, mask.reshape(len(weights), -1), weights)
+        table._bank = bank  # only once whole: a refused table stays refused
+    return bank
+
+
 def draw_plan(
     model: Model, table: ThresholdTable, max_rate: float, pass_seed: int
 ) -> SparsificationPlan:
@@ -90,39 +118,35 @@ def draw_plan(
 
     Each noise-eligible filter draws rate ~ Uniform(0, max_rate) from a
     stream keyed by (pass_seed, layer, filter), snaps down to the grid,
-    and drops weights strictly below the looked-up threshold.
+    and drops weights strictly below the looked-up threshold. The rates are
+    random() * max_rate, the doubles uniform(0, max_rate) returns.
     """
-    fp = model.fingerprint()
-    if table.model_fingerprint != fp:
-        raise PlanMismatch("threshold table was profiled for a different model")
+    bank = rate_bank(model, table)
     if not 0.0 <= max_rate < 1.0:
         raise ValueError(f"max_rate must be in [0, 1), got {max_rate}")
-    plan = SparsificationPlan(pass_seed=pass_seed, max_rate=max_rate, model_fingerprint=fp)
-    for idx in model.parametric_layers():
-        if not model.layers[idx].noise_eligible:
-            continue
-        filters = model.filter_matrix(idx)
-        n_filters = filters.shape[0]
-        rates = substream(pass_seed, "rates", idx).uniform(0.0, max_rate, size=n_filters)
-        grid_idx = np.floor(rates * RATE_GRID_STEPS).astype(int)
-        taus = table.thresholds[idx][np.arange(n_filters), grid_idx]
-        plan.masks[idx] = np.abs(filters) >= taus[:, None]
+    plan = SparsificationPlan(pass_seed=pass_seed, max_rate=max_rate, model_fingerprint=table.model_fingerprint)
+    for idx, (offsets, masks, weights) in bank.items():
+        rates = substream(pass_seed, "rates", idx).random(len(offsets)) * max_rate
+        rows = (rates * RATE_GRID_STEPS).astype(np.intp)  # truncation is the floor: rates are never negative
+        rows += offsets
+        plan.masks[idx] = masks.take(rows, axis=0)
+        plan.weights[idx] = weights.take(rows, axis=0)
     return plan
 
 
-def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray, start: int = 0) -> ProbVector:
-    """Forward pass of one input with the plan's masks on every noise-eligible layer.
+def noisy_forward(model: Model, plan: SparsificationPlan, x: np.ndarray, start: int = 0, cols=None) -> ProbVector:
+    """Forward pass of one input with the plan's weights on every noise-eligible layer.
 
-    x is one input to layer `start` (a row of Model.forward_trace's batch),
-    so a pass can begin at its first masked layer from a reference trace's
-    input to it; starting after a masked layer is refused. It runs as a
-    batch of one.
+    x is one input to layer `start` (a row of Model.forward_trace's batch), so a pass can begin
+    at its first masked layer from a reference trace's input to it; starting after a masked layer
+    is refused. cols, when given, are x's columns for a conv2d layer `start` (nn.conv2d_columns),
+    gathered once for every pass over x. It runs as a batch of one.
     """
     if plan.model_fingerprint != model.fingerprint():
         raise PlanMismatch("plan was drawn for a different model")
-    if start > min(plan.masks, default=start):
-        raise ValueError(f"a pass starting at layer {start} would skip masked layer {min(plan.masks)}")
-    return model.forward_trace(np.asarray(x)[None], masks=plan.masks, start=start).output[0]
+    if start > min(plan.weights, default=start):
+        raise ValueError(f"a pass starting at layer {start} would skip masked layer {min(plan.weights)}")
+    return model.run_layers(np.asarray(x, dtype=np.float64)[None], start, plan.weights, cols)[0]
 
 
 def noisy_activation_forward(

@@ -259,6 +259,20 @@ def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, c
     assert "config error" in err and str(bad) in err
 
 
+@pytest.mark.parametrize(
+    "name,payload", [("metrics", [1]), ("cycles", {"first_report": {}})], ids=["metrics-list", "cycles-no-per-layer"]
+)
+def test_report_refuses_a_wrong_shaped_payload(pipeline_run, tmp_path, capsys, name, payload):
+    """A readable envelope around a payload report cannot read is a config error that names the file."""
+    out = tmp_path / "out"
+    shutil.copytree(Path(pipeline_run[0].out_dir), out)
+    bad = out / f"{name}.json"
+    bad.write_text(json.dumps({"provenance": {}, "payload": payload}))
+    assert main(["report", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
+
+
 @pytest.mark.parametrize("mismatch", ["fingerprint", "rate-grid", "grid-columns", "missing-layer"])
 def test_table_that_does_not_fit_the_model_is_a_config_error(pipeline_run, tmp_path, capsys, mismatch):
     run_dir = Path(pipeline_run[0].out_dir)

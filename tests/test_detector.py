@@ -20,12 +20,13 @@ from stochdet.detector import (
     noisy_passes,
     stochastic_inference,
 )
-from stochdet.model import conv_pool_arch, init_model, profile_thresholds
+from stochdet.model import RATE_GRID_STEPS, conv_pool_arch, init_model, profile_thresholds
 from stochdet.attacks import AttackConfig
 from stochdet.nn import ProbVector
 from stochdet.pipeline import ExperimentConfig, evaluate_attack_sets
-from stochdet.rng import derive_seed
-from stochdet.sparsify import NoiseConfig, draw_plan, noisy_forward
+from stochdet.rng import derive_seed, substream
+from stochdet.sparsify import NoiseConfig, PlanMismatch, confidence, draw_plan, noise_budget, noisy_forward, rate_bank
+from tests.conftest import successful_inputs
 
 
 def pv(probs):
@@ -219,14 +220,14 @@ def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_nois
         plan = draw_plan(model, table, float(rng.uniform(0, 0.95)), int(rng.integers(2**63)))
         assert min(plan.masks) == start
         from_prefix = noisy_forward(model, plan, reference.inputs[start][0], start)
-        full = model.forward_trace(x[None], masks=plan.masks)
+        full = model.clone_with_zeroed(plan.masks).forward_trace(x[None])
         assert from_prefix.probs.tobytes() == full.probs[0].tobytes()
         assert from_prefix.logits.tobytes() == full.logits[0].tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(reference.inputs, prefix))
         # the detector's own passes: the same distances as full masked forwards
         ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig())
         for i in (1, 2, 3):
-            expected = l1_distance(model.forward_trace(x[None], masks=plan_of(trial, i).masks).probs[0], ref)
+            expected = l1_distance(model.clone_with_zeroed(plan_of(trial, i).masks).predict(x), ref)
             assert distance(trial, i) == expected
     with pytest.raises(ValueError, match="would skip masked layer"):
         noisy_forward(model, plan, full.inputs[start + 1][0], start + 1)
@@ -379,3 +380,60 @@ def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, cali
     )
     assert fpr == (1.0 if verdict.label == "adversarial" else 0.0)
     assert metrics[attack.name]["metrics"]["tpr"] == 1.0 - fpr
+
+
+# ---------------------------------------------------------------------------
+# the rate bank against the computation it replaced
+
+
+def old_plan_masks(model, table, max_rate, pass_seed):
+    """A plan's masks as drawn before the rate bank: |filters| >= each filter's looked-up threshold."""
+    masks = {}
+    for idx in model.parametric_layers():
+        if model.layers[idx].noise_eligible:
+            filters = model.filter_matrix(idx)
+            rates = substream(pass_seed, "rates", idx).uniform(0.0, max_rate, size=len(filters))
+            taus = table.thresholds[idx][np.arange(len(filters)), np.floor(rates * RATE_GRID_STEPS).astype(int)]
+            masks[idx] = np.abs(filters) >= taus[:, None]
+    return masks
+
+
+def old_verdict(model, table, x, cfg):
+    """stochastic_inference as it ran before the rate bank: each pass a full forward of a zeroed copy."""
+    ref = model.predict(x)
+    budget = noise_budget(confidence(ref), cfg.noise)
+
+    def distance(i):
+        masks = old_plan_masks(model, table, budget, derive_seed(cfg.base_seed, "pass", i))
+        return l1_distance(model.clone_with_zeroed(masks).predict(x), ref)
+
+    return decide(distance, cfg.thresholds, cfg.max_runs), ref.top_class
+
+
+def test_verdicts_equal_the_old_computation_bytewise(
+    fixture_model, fixture_table, calibrated_thresholds, benign_eval_inputs, cw_sets
+):
+    adversarial = [x for k in sorted(cw_sets) for x in successful_inputs(cw_sets[k])]
+    inputs = list(benign_eval_inputs[:150]) + adversarial[:: max(1, len(adversarial) // 50)][:50]
+    assert len(inputs) == 200
+    seen = set()
+    for i, x in enumerate(inputs):
+        cfg = DetectorConfig(calibrated_thresholds, 3, NoiseConfig(), derive_seed(31, "old", i))
+        (label, runs, history, reason), top_class = old_verdict(fixture_model, fixture_table, x, cfg)
+        v = stochastic_inference(fixture_model, fixture_table, x, cfg)
+        assert np.array(v.l1_history).tobytes() == np.array(history).tobytes()
+        assert (v.label, v.runs_used, v.terminated_by, v.final_class) == (label, runs, reason, top_class)
+        seen.add((label, reason))
+    assert len(seen) >= 3  # both labels and more than one exit reason were exercised
+
+
+def test_rate_bank_refuses_a_table_of_another_model(fixture_model, fixture_table):
+    other, _ = random_detector_model(25, False)
+    with pytest.raises(PlanMismatch, match="different model"):
+        rate_bank(other, fixture_table)
+    with pytest.raises(PlanMismatch, match="different model"):
+        rate_bank(fixture_model, replace(fixture_table, model_fingerprint="0" * 64))
+    half_grid = replace(fixture_table, thresholds={i: t[:, ::2] for i, t in fixture_table.thresholds.items()})
+    for _ in range(2):  # a refused table keeps no partial bank
+        with pytest.raises(PlanMismatch, match="one grid row per filter"):
+            rate_bank(fixture_model, half_grid)

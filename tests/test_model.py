@@ -13,6 +13,7 @@ from stochdet.data import synth_dataset
 from stochdet.rng import substream
 from stochdet.model import (
     LayerSpec,
+    Model,
     ModelFormatError,
     RATE_GRID,
     TrainConfig,
@@ -125,6 +126,25 @@ def test_uniform_output_when_final_dense_zeroed(fixture_model):
     model.params[dense_idx]["b"][:] = 0.0
     pv = model.predict(np.full(model.input_shape, 0.3))
     np.testing.assert_allclose(pv.probs, 0.25, atol=1e-15)
+
+
+def test_forward_reads_reassigned_and_in_place_parameters(fixture_model):
+    """Bound layer calls read the parameters on every call, as training and tests update them."""
+    model = fixture_model.clone_with_zeroed({})
+    x = np.full(model.input_shape, 0.3)
+    dense_idx = model.parametric_layers()[-1]
+
+    def fresh():  # a new Model over the current parameter arrays
+        return Model(model.layers, {i: dict(p) for i, p in model.params.items()}, model.class_count, model.input_shape)
+
+    before = model.predict(x)
+    model.params[dense_idx]["w"] = model.params[dense_idx]["w"] * 0.5  # reassigned
+    reassigned = model.predict(x)
+    assert reassigned.probs.tobytes() == fresh().predict(x).probs.tobytes() != before.probs.tobytes()
+    model.params[dense_idx]["b"] += 1.0  # in place
+    model.params[0]["w"] *= 0.5
+    in_place = model.predict(x)
+    assert in_place.logits.tobytes() == fresh().predict(x).logits.tobytes() != reassigned.logits.tobytes()
 
 
 def test_predict_equals_manual_layer_composition(fixture_model, fixture_data):

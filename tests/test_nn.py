@@ -109,7 +109,8 @@ def test_conv2d_all_zero_mask_gives_bias():
     x = rng.normal(size=(2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
     b = np.array([1.5, -2.0, 0.25])
-    y = nn.conv2d_forward(x[None], w, b, mask=np.zeros(w.size))[0]
+    # a mask is applied by substituting the masked weights, w * mask
+    y = nn.conv2d_forward(x[None], w * np.zeros(w.shape), b)[0]
     for c in range(3):
         np.testing.assert_array_equal(y[c], np.full((3, 3), b[c]))
 
@@ -224,6 +225,38 @@ def test_cacheless_maxpool_is_the_first_maximum_bytewise(values):
             assert cacheless.tobytes() == cached.tobytes()
 
 
+def three_comparison_maxpool(x: np.ndarray) -> np.ndarray:
+    """The cacheless maxpool as three comparisons, each later window slice folded into the first."""
+    out = np.maximum(x[..., ::2, 1::2], x[..., ::2, ::2])
+    np.maximum(x[..., 1::2, ::2], out, out=out)
+    return np.maximum(x[..., 1::2, 1::2], out, out=out)
+
+
+POOL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 2.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 8),
+    channels=st.integers(1, 3),
+    half_h=st.integers(1, 4),
+    half_w=st.integers(1, 4),
+    data=st.data(),
+)
+def test_two_comparison_maxpool_equals_three_comparisons_bytewise(rows, channels, half_h, half_w, data):
+    """Columns, then rows, keep the first maximum as the three-comparison form does: ties, +-0, NaN, +-inf."""
+    shape = (rows, channels, 2 * half_h, 2 * half_w)
+    values = st.one_of(st.sampled_from(POOL_VALUES), st.floats(allow_nan=True, allow_infinity=True))
+    x = data.draw(arrays(np.float64, shape, elements=values))
+    assert nn.maxpool2d_forward(x).tobytes() == three_comparison_maxpool(x).tobytes()
+
+
+def test_two_comparison_maxpool_on_20000_tied_windows():
+    """8 rows of 2,500 windows each, drawn from few values, so that most windows hold ties."""
+    x = np.asarray(POOL_VALUES)[substream(6, "pool").integers(0, len(POOL_VALUES), size=(8, 50, 10, 20))]
+    assert nn.maxpool2d_forward(x).tobytes() == three_comparison_maxpool(x).tobytes()
+
+
 def test_maxpool_rejects_odd_extent():
     with pytest.raises(nn.ShapeError, match="even extents"):
         nn.maxpool2d_forward(np.ones((1, 1, 3, 4)))
@@ -242,7 +275,7 @@ def test_dense_identity():
 def test_dense_all_zero_mask_gives_bias():
     w = substream(5, "d").normal(size=(2, 4))
     b = np.array([0.5, -0.5])
-    y = nn.dense_forward(np.ones((1, 4)), w, b, mask=np.zeros(8))[0]
+    y = nn.dense_forward(np.ones((1, 4)), w * np.zeros(w.shape), b)[0]
     np.testing.assert_array_equal(y, b)
 
 
@@ -409,7 +442,7 @@ def test_masked_forward_equals_zeroed_weights_bitwise():
         idx: (rng.uniform(size=model.params[idx]["w"].shape) > 0.4).astype(np.float64)
         for idx in model.parametric_layers()
     }
-    masked = model.forward_trace(x[None], masks=masks)
+    masked = model.forward_trace(x[None], weights={idx: model.params[idx]["w"] * m for idx, m in masks.items()})
     zeroed = model.clone_with_zeroed(masks).forward_trace(x[None])
     np.testing.assert_array_equal(masked.probs, zeroed.probs)
     np.testing.assert_array_equal(masked.logits, zeroed.logits)
@@ -455,14 +488,14 @@ def test_backward_refuses_cacheless_and_mid_network_traces():
 
 
 def test_cached_forward_refuses_masks_act_factors_and_a_later_start():
-    """Backward runs every layer mask- and noise-free from the input, so only such a forward may cache."""
+    """Backward runs the model's own weights without noise from the input, so only such a forward may cache."""
     model = tiny_model(11)
     x = substream(16, "x").uniform(0, 1, (1, 8, 8))[None]
     full = model.forward_trace(x, cache=True)
-    masks = {idx: np.ones(model.params[idx]["w"].shape) for idx in model.parametric_layers()}
+    weights = {idx: model.params[idx]["w"].copy() for idx in model.parametric_layers()}
     relu = next(i for i, spec in enumerate(model.layers) if spec.kind == "relu")
     factors = {relu: np.ones(model.layer_input_shapes[relu])}
-    for kwargs in ({"masks": masks}, {"act_factors": factors}):
+    for kwargs in ({"weights": weights}, {"act_factors": factors}):
         with pytest.raises(ValueError, match="cached forward"):
             model.forward_trace(x, cache=True, **kwargs)
         assert model.forward_trace(x, **kwargs).probs.tobytes() == full.probs.tobytes()

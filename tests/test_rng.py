@@ -77,3 +77,19 @@ def test_non_integer_base_seed_is_rejected(base_seed):
         derive_seed(base_seed, "a")
     with pytest.raises(TypeError, match="base seed must be an integer"):
         substream(base_seed)
+
+
+EDGE_RATES = [0.0, 5e-324, 0.8, float(np.nextafter(1.0, 0.0))]
+
+
+def test_rate_draw_equals_uniform_bytewise():
+    """draw_plan's rates, random(n) * m, are the doubles uniform(0.0, m, n) returns."""
+    rng = np.random.default_rng(8)
+    cases = [(int(seed), m) for seed in BASE_SEEDS for m in EDGE_RATES]
+    for _ in range(20_000):
+        seed = int(rng.integers(-(2**63), 2**63)) >> int(rng.integers(0, 64))
+        cases.append((seed, EDGE_RATES[int(rng.integers(4))] if rng.random() < 0.2 else float(rng.random())))
+    for seed, m in cases:
+        n, layer = 1 + seed % 24, seed % 9
+        got = substream(seed, "rates", layer).random(n) * m
+        assert got.tobytes() == substream(seed, "rates", layer).uniform(0.0, m, n).tobytes(), (seed, m)
