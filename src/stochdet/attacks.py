@@ -111,32 +111,24 @@ def _from_tanh_space(w: np.ndarray) -> np.ndarray:
     return (np.tanh(w) + 1.0) / 2.0
 
 
-def _targeted_descent(
-    model: Model, x0: np.ndarray, target: np.ndarray, cfgs: list[AttackConfig], p_ref: np.ndarray
-) -> np.ndarray:
+def _targeted_descent(model: Model, x0: np.ndarray, row: dict[str, np.ndarray], steps: int) -> np.ndarray:
     """Shared gradient-descent loop of cw_l2 and defense_aware over a block of rows; returns the chosen inputs.
 
-    attack_sets is the entry point: it gives each row x0[i] its own attack
-    cfgs[i] (all of one step count), its checked target and, for
-    defense_aware, the exemplar output p_ref[i] (zeros otherwise).
+    attack_sets is the entry point: row is its per-row table sliced to the
+    block, so row x0[i] descends for `steps` steps with its own k[i], c[i],
+    step_size[i], beta[i] and checked target[i], and p_ref[i] is its
+    exemplar output (beta and p_ref are zero but for defense_aware).
 
     Tracks, per row, the best full-margin iterate (target logit clear of
     all others by k) by the attack's own distance objective; falls back
     to the best argmax-only success when the margin is never reached, and
     to the last iterate when neither occurs.
     """
-    n = len(x0)
-    # The L1 penalty competes with a squared-distance term that scales with
-    # input dimension, so its weight is normalized by pixel count to keep
-    # one beta range meaningful across image sizes. Without this, beta's
-    # pull is a ~1% perturbation at small image sizes and the converged
-    # attack ignores it entirely.
-    beta = np.array([c.beta * x0[0].size if c.kind == "defense_aware" else 0.0 for c in cfgs])
-    k = np.array([c.k for c in cfgs])
-    loss = CompositeLoss(target=target, k=k, c=np.array([c.c for c in cfgs]), beta=beta, target_probs=p_ref, x0=x0)
+    n, target, k, beta, p_ref = len(x0), row["target"], row["k"], row["beta"], row["p_ref"]
+    loss = CompositeLoss(target=target, k=k, c=row["c"], beta=beta, target_probs=p_ref, x0=x0)
 
     rows, per_row = np.arange(n), (n,) + (1,) * (x0.ndim - 1)
-    step_size = np.array([c.step_size for c in cfgs]).reshape(per_row)
+    step_size = row["step_size"].reshape(per_row)
     w = _to_tanh_space(x0)
     # per row: whether a candidate is kept, its score and its input
     best = [np.zeros(n, dtype=bool), np.zeros(n), np.empty_like(x0)]
@@ -160,7 +152,7 @@ def _targeted_descent(
         keep(best, take_best, score, x_adv)
         keep(fallback, ~take_best & arg_ok & (~fallback[0] | (score < fallback[1])), score, x_adv)
 
-    for _ in range(cfgs[0].steps):
+    for _ in range(steps):
         tanh_w = np.tanh(w)
         x_adv = (tanh_w + 1.0) / 2.0
         trace, _, dx, _ = loss_gradients(model, x_adv, loss, param_grads=False)
@@ -217,6 +209,12 @@ def attack_sets(
                 raise AttackError(f"defense_aware needs a benign exemplar classified as target class {wrong[0]}")
             p_ref[j * n : (j + 1) * n] = anchors
         target[j * n : (j + 1) * n] = t
+    # one table of per-row arrays, sliced per block. The L1 penalty competes with a squared distance
+    # that grows with input size, so beta is scaled by pixel count to keep one beta range meaningful
+    # across image sizes: unscaled, its pull is ~1% at small images and the attack ignores it.
+    table = {name: np.array([getattr(c, name) for c in row_cfgs]) for name in ("k", "c", "step_size", "eps")}
+    table.update(beta=np.array([c.beta * x[0].size if c.kind == "defense_aware" else 0.0 for c in row_cfgs]))
+    table.update(target=target, p_ref=p_ref)
 
     # fgsm rows form one group, descent rows one group per step count
     groups: dict[str | int, list[int]] = {}
@@ -226,14 +224,13 @@ def attack_sets(
     for key, rows in groups.items():
         for b in range(0, len(rows), BATCH_ROWS):
             block = rows[b : b + BATCH_ROWS]
+            row = {name: column[block] for name, column in table.items()}
             if key == "fgsm":
-                dx = loss_gradients(model, x0[block], CrossEntropyLoss(src_rows[block]), param_grads=False)[2]
-                eps = np.array([row_cfgs[i].eps for i in block]).reshape(-1, *(1,) * (x0.ndim - 1))
+                dx = loss_gradients(model, x0[block], CrossEntropyLoss(row["target"]), param_grads=False)[2]
+                eps = row["eps"].reshape(-1, *(1,) * (x0.ndim - 1))
                 perturbed[block] = np.clip(x0[block] + eps * np.sign(dx), 0.0, 1.0)
             else:
-                perturbed[block] = _targeted_descent(
-                    model, x0[block], target[block], [row_cfgs[i] for i in block], p_ref[block]
-                )
+                perturbed[block] = _targeted_descent(model, x0[block], row, key)
 
     final = model.predict_batch(perturbed)
     top = np.argmax(final.probs, axis=1)

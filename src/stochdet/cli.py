@@ -92,6 +92,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if {"/", os.sep} & set(args.name or ""):
+        raise ConfigError(f"--name is a verdict log name suffix, not a path: got {args.name!r}")
     state = _state(args)
     if args.adversarial_set:
         inputs = [s.perturbed for s in state.read_adversarial_set(Path(args.adversarial_set))]

@@ -19,7 +19,7 @@ No pass here runs a backward, so none fills layer caches.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,7 +65,7 @@ class DetectionThresholds:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DetectionThresholds":
-        return cls(obj["t1_greedy"], obj["t2_greedy"], obj["t1_avg"], obj["t2_avg"])
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
 @dataclass

@@ -9,11 +9,11 @@ and each row is byte for byte that input run as a batch of one.
 ``predict_batch``, ``train`` and the attack descents run their rows in
 blocks of ``BATCH_ROWS``. Every pass runs one loop, ``run_layers``, over
 layer calls bound once per model; they read the parameters on each call.
-Noisy passes substitute sparsified weight tensors (``weights=``) or
-activation noise factors, from the reference trace's input to their first
-masked layer (``start=``). Only the noise-free forward of a backward
-(``loss_gradients``: training and attack gradients) fills the layer
-caches (``cache=True``).
+``forward_trace`` is its one checked form, over model inputs. Noisy passes
+call ``run_layers`` with sparsified weights from the reference trace's input
+to their first masked layer, or with activation noise factors. Only the
+forward of a backward (``loss_gradients``: training and attack gradients)
+fills the layer caches (``cache=True``).
 
 The container format is a JSON manifest (architecture, shapes, byte
 offsets) followed by a little-endian float64 weight blob.
@@ -111,46 +111,30 @@ class Model:
 
     # ---- inference -------------------------------------------------
 
-    def forward_trace(
-        self,
-        x: np.ndarray,
-        weights: dict[int, np.ndarray] | None = None,
-        act_factors: dict[int, np.ndarray] | None = None,
-        *,
-        start: int = 0,
-        cache: bool = False,
-    ) -> "Trace":
-        """Run the network over a batch from layer `start`, keeping per-layer inputs.
+    def forward_trace(self, x: np.ndarray, *, cache: bool = False) -> "Trace":
+        """Run the network over a batch of model inputs x[N, ...], keeping per-layer inputs.
 
-        x[N, ...] is the input to layer `start`: a batch of model inputs when
-        start is 0, or a trace's input to that layer, for a pass that shares
-        the layers before it. x is only read, so a shared prefix stays intact.
-        weights: optional per-layer tensors that replace conv/dense weights.
-        act_factors: optional multiplicative factors applied to the outputs
-        of the layers they name (relu layers, in the activation-noise study
-        mode).
-        cache=True also keeps what backward needs, for a substitution- and
-        noise-free forward from the model input; outputs are the same bytes.
+        x is only read, so a pass may share the trace's layer inputs. cache=True also keeps what
+        backward needs; the outputs are the same bytes.
         """
-        if not 0 <= start < len(self.layers):
-            raise ValueError(f"start layer {start} outside the model's {len(self.layers)} layers")
-        if cache and (weights or act_factors or start):
-            raise ValueError("a cached forward must start at layer 0 without weights or act_factors")
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 0 or x.shape[1:] != self.layer_input_shapes[start]:
-            what = "model input" if start == 0 else f"layer {start} input"
-            raise nn.ShapeError(f"input batch {x.shape} does not match {what} {self.layer_input_shapes[start]} per row")
         inputs: list[np.ndarray] = []
         caches: list[dict] | None = [] if cache else None
-        out = self.run_layers(x, start, weights, inputs=inputs, caches=caches, act_factors=act_factors)
+        out = self.run_layers(self.checked_inputs(x), inputs=inputs, caches=caches)
         return Trace(model=self, inputs=inputs, caches=caches, output=out)
+
+    def checked_inputs(self, x) -> np.ndarray:
+        """x as a float64 batch of model inputs; a wrong shape raises nn.ShapeError."""
+        x, shape = np.asarray(x, dtype=np.float64), self.layer_input_shapes[0]
+        if x.ndim == 0 or x.shape[1:] != shape:
+            raise nn.ShapeError(f"input batch {x.shape} does not match model input {shape} per row")
+        return x
 
     def run_layers(self, x, start=0, weights=None, cols=None, *, inputs=None, caches=None, act_factors=None):
         """The one forward loop: the float64 batch x[N, ...], unchecked, through the layers from `start`.
 
-        weights replaces conv/dense weights by layer index; cols are x's columns for a conv2d layer
-        `start` (nn.conv2d_columns). inputs and caches, when given, collect each layer's input and
-        backward cache. Returns the softmax's ProbVector, whose input is the logits.
+        weights replace conv/dense weights and act_factors multiply layer outputs, by layer index;
+        cols are x's columns for a conv2d layer `start` (nn.conv2d_columns). inputs and caches, when
+        given, collect each layer's input and backward cache. Returns the softmax's ProbVector.
         """
         params, weights, act_factors = self.params, weights or {}, act_factors or {}
         cache = None
@@ -230,9 +214,8 @@ class Model:
 class Trace:
     """The layer inputs of one batched forward, and its output.
 
-    inputs[i] is the batch input to the i-th layer the forward ran, counted
-    from its start layer; output holds one probability row per input.
-    caches is None for a cache-less forward.
+    inputs[i] is the batch input to layer i; output holds one probability
+    row per input. caches is None for a cache-less forward.
     """
 
     model: Model

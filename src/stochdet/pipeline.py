@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accelsim import AcceleratorConfig, CycleReport, LayerCycleReport, simulate_model
+from .accelsim import AcceleratorConfig, LayerCycleReport, simulate_model
 from .attacks import (
     AttackConfig,
     AttackError,
@@ -199,8 +199,7 @@ def _override(path: str, base, values: dict):
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(cfg.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(canonical_json(cfg.to_json()).encode()).hexdigest()[:16]
 
 
 def provenance(cfg: ExperimentConfig) -> dict:
@@ -232,8 +231,7 @@ def write_csv_artifact(path: Path, header: list[str], rows: list[list], cfg: Exp
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     body = buf.getvalue()
     prov = provenance(cfg)
     prov["payload_sha256"] = hashlib.sha256(body.encode()).hexdigest()
@@ -497,11 +495,18 @@ def stage_eval(state: RunState) -> str:
 
 
 def stage_simulate(state: RunState) -> str:
-    cfg = state.cfg
-    inputs = state["benign_eval"][: cfg.simulate_count]
-    summary = state["cycles"] = simulate_for_inputs(
-        state["model"], state["table"], inputs, cfg.noise, cfg.accelerator, cfg.base_seed
-    )
+    """Cycle reports for the plans eval's detector drew for its first pass over benign input i."""
+    cfg, model, table = state.cfg, state["model"], state["table"]
+    reports = []
+    for i, x in enumerate(state["benign_eval"][: cfg.simulate_count]):
+        plan = noisy_passes(model, table, x, cfg.noise)[1](input_seed(cfg.base_seed, "benign", i), 1)
+        reports.append(simulate_model(model, plan, cfg.accelerator))
+    summary = state["cycles"] = {
+        "inputs": len(reports),
+        "mean_speedup": float(np.mean([r.speedup for r in reports])),
+        "mean_eligible_speedup": float(np.mean([r.eligible_speedup() for r in reports])),
+        "first_report": reports[0].to_json(),
+    }
     path = state.out / "cycles.json"
     write_json_artifact(path, summary, cfg)
     return (
@@ -609,31 +614,6 @@ def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
     prov["payload_sha256"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     head = canonical_json({"provenance": prov})
     path.write_text("\n".join([head] + lines) + "\n", encoding="utf-8")
-
-
-def simulate_for_inputs(
-    model: Model,
-    table: ThresholdTable,
-    inputs: list[np.ndarray],
-    noise: NoiseConfig,
-    acfg: AcceleratorConfig,
-    base_seed: int,
-) -> dict:
-    """Cycle reports for the plans eval's detector drew for its first pass over benign input i."""
-    if not inputs:
-        raise ValueError("simulate needs at least one input")
-    reports: list[CycleReport] = []
-    for i, x in enumerate(inputs):
-        plan = noisy_passes(model, table, x, noise)[1]
-        reports.append(simulate_model(model, plan(input_seed(base_seed, "benign", i), 1), acfg))
-    mean_speedup = float(np.mean([r.speedup for r in reports]))
-    mean_eligible = float(np.mean([r.eligible_speedup() for r in reports]))
-    return {
-        "inputs": len(reports),
-        "mean_speedup": mean_speedup,
-        "mean_eligible_speedup": mean_eligible,
-        "first_report": reports[0].to_json(),
-    }
 
 
 def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:

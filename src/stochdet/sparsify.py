@@ -162,4 +162,4 @@ def noisy_activation_forward(
                 shape = model.layer_input_shapes[idx]  # relu preserves shape
                 delta = substream(pass_seed, "act", idx).uniform(-level, level, size=shape)
                 factors[idx] = 1.0 + delta
-    return model.forward_trace(np.asarray(x)[None], act_factors=factors).output[0]
+    return model.run_layers(model.checked_inputs(np.asarray(x)[None]), act_factors=factors)[0]

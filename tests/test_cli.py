@@ -312,6 +312,33 @@ def test_truncated_adversarial_set_is_a_config_error(pipeline_run, tmp_path, cap
     assert "config error" in err and bad.name in err
 
 
+def test_thresholds_missing_a_field_is_a_config_error(pipeline_run, tmp_path, capsys):
+    run_dir = Path(pipeline_run[0].out_dir)
+    doc = json.loads((run_dir / "thresholds.json").read_text())
+    del doc["payload"]["thresholds"]["t2_avg"]
+    bad = tmp_path / "thresholds.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["detect", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    argv += ["--model", str(run_dir / "model.bin"), "--table", str(run_dir / "threshold_table.json")]
+    assert main([*argv, "--thresholds", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err and "t2_avg" in err
+
+
+@pytest.mark.parametrize("name", ["a/b", "../x"])
+def test_detect_name_with_a_path_separator_is_a_config_error(pipeline_run, tmp_path, capsys, monkeypatch, name):
+    """--name is refused before the model loads, so no verdict is computed and nothing is written."""
+    run_dir, out = Path(pipeline_run[0].out_dir), tmp_path / "out"
+    monkeypatch.setattr(pipeline, "load_model", lambda *_: pytest.fail("detect loaded the model"))
+    argv = ["detect", "--config", str(write_config(tmp_path)), "--out", str(out), "--name", name]
+    argv += ["--model", str(run_dir / "model.bin"), "--table", str(run_dir / "threshold_table.json")]
+    argv += ["--thresholds", str(run_dir / "thresholds.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--name" in err
+    assert not out.exists()
+
+
 def test_metrics_csv_schema_and_order(pipeline_run):
     cfg, _ = pipeline_run
     lines = [

@@ -138,6 +138,15 @@ def test_threshold_ordering_enforced():
         DetectionThresholds(t1_greedy=0.1, t2_greedy=2.5, t1_avg=0.5, t2_avg=1.2)
 
 
+def test_thresholds_json_names_each_field():
+    """from_json reads each field by name, whatever the key order; a missing one raises KeyError."""
+    doc = THRESH.to_json()
+    assert DetectionThresholds.from_json(dict(reversed(doc.items()))) == THRESH
+    del doc["t1_avg"]
+    with pytest.raises(KeyError, match="t1_avg"):
+        DetectionThresholds.from_json(doc)
+
+
 def test_raising_t2_never_flips_benign_to_adversarial():
     history = [1.0, 1.2, 1.3]
     base = DetectionThresholds(0.1, 1.9, 0.75, 1.25)

@@ -442,7 +442,7 @@ def test_masked_forward_equals_zeroed_weights_bitwise():
         idx: (rng.uniform(size=model.params[idx]["w"].shape) > 0.4).astype(np.float64)
         for idx in model.parametric_layers()
     }
-    masked = model.forward_trace(x[None], weights={idx: model.params[idx]["w"] * m for idx, m in masks.items()})
+    masked = model.run_layers(x[None], weights={idx: model.params[idx]["w"] * m for idx, m in masks.items()})
     zeroed = model.clone_with_zeroed(masks).forward_trace(x[None])
     np.testing.assert_array_equal(masked.probs, zeroed.probs)
     np.testing.assert_array_equal(masked.logits, zeroed.logits)
@@ -466,41 +466,28 @@ def test_cacheless_and_suffix_forwards_equal_the_full_cached_forward():
     assert cacheless.probs.tobytes() == full.probs.tobytes()
     assert cacheless.logits.tobytes() == full.logits.tobytes()
     for start in range(1, len(model.layers)):
-        suffix = model.forward_trace(full.inputs[start], start=start)
-        assert len(suffix.inputs) == len(model.layers) - start
+        inputs: list = []
+        suffix = model.run_layers(full.inputs[start], start, inputs=inputs)
+        assert len(inputs) == len(model.layers) - start
         assert suffix.probs.tobytes() == full.probs.tobytes()
-    with pytest.raises(nn.ShapeError, match="layer 3 input"):
-        model.forward_trace(x, start=3)
-    with pytest.raises(ValueError, match="start layer"):
-        model.forward_trace(x, start=len(model.layers))
+    # the model's own weights, substituted, and all-ones activation factors leave every byte as it is
+    weights = {idx: model.params[idx]["w"].copy() for idx in model.parametric_layers()}
+    relu = next(i for i, spec in enumerate(model.layers) if spec.kind == "relu")
+    factors = {relu: np.ones(model.layer_input_shapes[relu])}
+    for kwargs in ({"weights": weights}, {"act_factors": factors}):
+        assert model.run_layers(x, **kwargs).probs.tobytes() == full.probs.tobytes()
+    with pytest.raises(nn.ShapeError, match="does not match model input"):
+        model.forward_trace(full.inputs[3])
 
 
-def test_backward_refuses_cacheless_and_mid_network_traces():
+def test_backward_refuses_a_cacheless_trace():
     model = tiny_model(10)
     x = substream(15, "x").uniform(0, 1, (1, 8, 8))[None]
     full = model.forward_trace(x, cache=True)
     dlogits = np.ones((1, 4))
     with pytest.raises(ValueError, match="backward needs"):
         model.forward_trace(x).backward(dlogits)
-    with pytest.raises(ValueError, match="backward needs"):
-        model.forward_trace(full.inputs[3], start=3).backward(dlogits)
     full.backward(dlogits)
-
-
-def test_cached_forward_refuses_masks_act_factors_and_a_later_start():
-    """Backward runs the model's own weights without noise from the input, so only such a forward may cache."""
-    model = tiny_model(11)
-    x = substream(16, "x").uniform(0, 1, (1, 8, 8))[None]
-    full = model.forward_trace(x, cache=True)
-    weights = {idx: model.params[idx]["w"].copy() for idx in model.parametric_layers()}
-    relu = next(i for i, spec in enumerate(model.layers) if spec.kind == "relu")
-    factors = {relu: np.ones(model.layer_input_shapes[relu])}
-    for kwargs in ({"weights": weights}, {"act_factors": factors}):
-        with pytest.raises(ValueError, match="cached forward"):
-            model.forward_trace(x, cache=True, **kwargs)
-        assert model.forward_trace(x, **kwargs).probs.tobytes() == full.probs.tobytes()
-    with pytest.raises(ValueError, match="cached forward"):
-        model.forward_trace(full.inputs[3], start=3, cache=True)
 
 
 # ---------------------------------------------------------------------------

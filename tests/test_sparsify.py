@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochdet.nn import ProbVector, softmax
+from stochdet.nn import ProbVector, ShapeError, softmax
 from stochdet.model import RATE_GRID, RATE_GRID_STEPS
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import (
@@ -256,3 +256,6 @@ def test_activation_noise_level_ordering(fixture_model, fixture_data):
 def test_activation_level_validation(fixture_model):
     with pytest.raises(ValueError, match="level"):
         noisy_activation_forward(fixture_model, 1.0, np.zeros(fixture_model.input_shape), 0)
+    c, h, w = fixture_model.input_shape
+    with pytest.raises(ShapeError, match="does not match model input"):
+        noisy_activation_forward(fixture_model, 0.1, np.zeros((c, h, w + 1)), 0)
