@@ -281,7 +281,7 @@ def pick_exemplars(dataset, probs: np.ndarray) -> dict[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # adversarial-set container (same style as the model container)
 
-_SET_MAGIC = b"SDADVS01"
+SET_MAGIC = b"SDADVS01"
 # the AdversarialSample fields a manifest entry holds: all but the two arrays, which go in the blob
 _SAMPLE_FIELDS = tuple(f.name for f in fields(AdversarialSample) if f.name not in ("original", "perturbed"))
 
@@ -300,20 +300,14 @@ def save_adversarial_set(
         entry["pert_offset"] = len(blob)
         blob.extend(s.perturbed.astype("<f8").tobytes())
         entries.append(entry)
-    manifest = {
-        "format": "stochdet-adversarial-set",
-        "version": 1,
-        "samples": entries,
-    }
-    if provenance:
-        manifest["provenance"] = provenance
+    manifest = {"format": "stochdet-adversarial-set", "version": 1, "samples": entries}
     if attack_meta:
         manifest["attack"] = attack_meta
-    return write_container(_SET_MAGIC, manifest, blob)
+    return write_container(SET_MAGIC, manifest, blob, provenance)
 
 
 def load_adversarial_set_with_meta(data: bytes) -> tuple[list[AdversarialSample], dict]:
-    manifest, blob = read_container(data, _SET_MAGIC, AttackError)
+    manifest, blob = read_container(data, SET_MAGIC, AttackError)
     try:
         samples = [
             AdversarialSample(

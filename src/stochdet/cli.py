@@ -112,17 +112,13 @@ def cmd_verify(args) -> int:
     root = Path(args.path)
     if not root.exists():
         raise ConfigError(f"verify path does not exist: {root}")
-    files = sorted(root.rglob("*")) if root.is_dir() else [root]
+    files = [f for f in sorted(root.rglob("*")) if f.is_file()] if root.is_dir() else [root]
     bad = 0
     for f in files:
-        if f.is_dir():
-            continue
         ok, detail = verify_artifact(f)
-        # a passing detail is "ok" or "skipped (<reason>)"
-        status = detail.split()[0] if ok else "TAMPERED"
-        print(f"{status:9} {f} ({detail})")
-        if not ok:
-            bad += 1
+        # a passing detail is "ok" or "skipped (not an artifact)"
+        print(f"{detail.split()[0] if ok else 'TAMPERED':9} {f} ({detail})")
+        bad += not ok
     if bad:
         raise StageError("verify", f"{bad} artifact(s) failed hash verification")
     return EXIT_OK

@@ -51,7 +51,7 @@ RATE_GRID = np.arange(RATE_GRID_STEPS) / RATE_GRID_STEPS
 # and 100 at 10, and a training step 57 µs per sample at 8 and 91 at 16
 BATCH_ROWS = 6
 
-_MAGIC = b"SDMODEL1"
+MODEL_MAGIC = b"SDMODEL1"
 
 
 class ModelFormatError(ValueError):
@@ -511,21 +511,26 @@ def save_model(model: Model, provenance: dict | None = None) -> bytes:
         entry["b_shape"] = list(p["b"].shape)
         entry["b_offset"] = len(blob)
         blob.extend(p["b"].astype("<f8").tobytes())
-    manifest = {
-        "format": "stochdet-model",
-        "version": 1,
-        "class_count": model.class_count,
-        "input_shape": list(model.input_shape),
-        "layers": layer_entries,
-    }
-    if provenance:
-        manifest["provenance"] = provenance
-    return write_container(_MAGIC, manifest, blob)
+    manifest = {"format": "stochdet-model", "version": 1, "class_count": model.class_count,
+                "input_shape": list(model.input_shape), "layers": layer_entries}
+    return write_container(MODEL_MAGIC, manifest, blob, provenance)
 
 
-def write_container(magic: bytes, manifest: dict, blob: bytes) -> bytes:
-    """The container `read_container` reads; sets the manifest's blob_bytes."""
-    manifest_bytes = json.dumps({**manifest, "blob_bytes": len(blob)}, sort_keys=True).encode("utf-8")
+def canonical_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def container_payload(manifest: dict, blob: bytes) -> bytes:
+    """The bytes a container's payload_sha256 covers: its manifest, provenance left out, then its blob."""
+    return canonical_json(manifest).encode() + bytes(blob)
+
+
+def write_container(magic: bytes, manifest: dict, blob: bytes, provenance: dict | None = None) -> bytes:
+    """The container `read_container` reads; sets blob_bytes and the provenance, which declares payload_sha256."""
+    manifest = {**manifest, "blob_bytes": len(blob)}
+    digest = hashlib.sha256(container_payload(manifest, blob)).hexdigest()
+    manifest["provenance"] = {**(provenance or {}), "payload_sha256": digest}
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
     return magic + struct.pack("<Q", len(manifest_bytes)) + manifest_bytes + bytes(blob)
 
 
@@ -566,7 +571,7 @@ def read_blob_array(blob: bytes, offset, shape, error: type[Exception]) -> np.nd
 
 def load_model(data: bytes) -> Model:
     """Model from a container; a corrupt or inconsistent one raises ModelFormatError."""
-    manifest, blob = read_container(data, _MAGIC, ModelFormatError)
+    manifest, blob = read_container(data, MODEL_MAGIC, ModelFormatError)
     try:
         # a field the entry leaves out takes its LayerSpec default
         names = [f.name for f in fields(LayerSpec)]

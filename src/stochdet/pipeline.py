@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .accelsim import AcceleratorConfig, LayerCycleReport, simulate_model
 from .attacks import (
+    SET_MAGIC,
     AttackConfig,
     AttackError,
     AdversarialSample,
@@ -47,6 +48,7 @@ from .detector import (
     input_seed,
     noisy_passes,
 )
+from .model import MODEL_MAGIC, canonical_json, container_payload, read_container
 from .model import (
     RATE_GRID,
     RATE_GRID_STEPS,
@@ -207,18 +209,18 @@ def provenance(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifacts: each kind's writer, and the one reader of what its payload_sha256 covers
 
 
-def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _write_artifact(path: Path, cfg: ExperimentConfig, payload_text: str, frame) -> None:
+    """path holds frame(provenance), where the provenance declares the sha256 of payload_text."""
+    prov = {**provenance(cfg), "payload_sha256": hashlib.sha256(payload_text.encode()).hexdigest()}
+    path.write_text(frame(prov), encoding="utf-8")
 
 
 def write_json_artifact(path: Path, payload, cfg: ExperimentConfig) -> None:
-    prov = provenance(cfg)
-    prov["payload_sha256"] = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-    doc = {"provenance": prov, "payload": payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    doc = lambda prov: json.dumps({"provenance": prov, "payload": payload}, sort_keys=True, indent=1) + "\n"
+    _write_artifact(path, cfg, canonical_json(payload), doc)
 
 
 def read_json_artifact(path: Path) -> tuple[dict, dict]:
@@ -229,36 +231,50 @@ def read_json_artifact(path: Path) -> tuple[dict, dict]:
 def write_csv_artifact(path: Path, header: list[str], rows: list[list], cfg: ExperimentConfig) -> None:
     """CSV with '# key=value' provenance comments before the header row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     body = buf.getvalue()
-    prov = provenance(cfg)
-    prov["payload_sha256"] = hashlib.sha256(body.encode()).hexdigest()
-    lines = "".join(f"# {k}={v}\n" for k, v in sorted(prov.items()))
-    path.write_text(lines + body, encoding="utf-8")
+    _write_artifact(path, cfg, body, lambda prov: "".join(f"# {k}={v}\n" for k, v in sorted(prov.items())) + body)
+
+
+def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
+    lines = [canonical_json(v.to_json(input_id=i)) for i, v in enumerate(verdicts)]
+    log = lambda prov: "\n".join([canonical_json({"provenance": prov}), *lines]) + "\n"
+    _write_artifact(path, cfg, "\n".join(lines), log)
+
+
+ARTIFACT_SUFFIXES = (".json", ".jsonl", ".csv", ".bin")
+
+
+def artifact_payload(path: Path) -> tuple[dict, bytes]:
+    """The provenance an artifact declares and the payload bytes its payload_sha256 covers, by suffix.
+
+    A file that cannot hold them raises KeyError, TypeError or ValueError."""
+    if path.suffix not in ARTIFACT_SUFFIXES:
+        raise ValueError(f"{path.name} is not an artifact")
+    if path.suffix == ".bin":
+        data = path.read_bytes()
+        if data[:8] not in (MODEL_MAGIC, SET_MAGIC):
+            raise ValueError(f"not a model or adversarial-set container: magic {data[:8]!r}")
+        manifest, blob = read_container(data, data[:8], ValueError)
+        return manifest.pop("provenance"), container_payload(manifest, blob)
+    if path.suffix == ".json":
+        prov, payload = read_json_artifact(path)
+        return prov, canonical_json(payload).encode()
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=path.suffix == ".csv")
+    if path.suffix == ".jsonl":
+        first, *rest = lines  # an empty log raises ValueError
+        return json.loads(first)["provenance"], "\n".join(rest).encode()
+    prov = dict(l[2:].rstrip("\n").split("=", 1) for l in lines if l.startswith("# "))
+    return prov, "".join(l for l in lines if not l.startswith("# ")).encode()
 
 
 def verify_artifact(path: Path) -> tuple[bool, str]:
     """Re-derive the payload hash an artifact declares; flag tampering."""
+    if path.suffix not in ARTIFACT_SUFFIXES:
+        return True, "skipped (not an artifact)"
     try:
-        if path.suffix == ".csv":
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            marks = [l.split("=", 1)[1].strip() for l in lines if l.startswith("# payload_sha256=")]
-            if not marks:
-                raise ValueError("no '# payload_sha256=' line")
-            declared, body = marks[-1], "".join(l for l in lines if not l.startswith("# "))
-            actual = hashlib.sha256(body.encode()).hexdigest()
-        elif path.suffix == ".jsonl":
-            first, *rest = path.read_text(encoding="utf-8").splitlines()
-            declared = json.loads(first)["provenance"]["payload_sha256"]
-            actual = hashlib.sha256("\n".join(rest).encode()).hexdigest()
-        elif path.suffix == ".json":
-            prov, payload = read_json_artifact(path)
-            declared = prov["payload_sha256"]
-            actual = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-        else:
-            return True, "skipped (binary container)"
+        prov, payload = artifact_payload(path)
+        declared, actual = prov["payload_sha256"], hashlib.sha256(payload).hexdigest()
         if not isinstance(declared, str):
             raise TypeError(f"payload_sha256 is {declared!r}, not a string")
     except (KeyError, TypeError, ValueError) as exc:  # a wrong root or field type, bad JSON, an empty file
@@ -360,11 +376,15 @@ class RunState:
     def _load_model(self) -> Model:
         return load_model(self._given_path("model").read_bytes())
 
+    def _check_fingerprint(self, name: str, fingerprint) -> None:
+        """A ConfigError naming the given `name` file unless it declares this model's fingerprint."""
+        if fingerprint != self["model"].fingerprint():
+            raise ConfigError(f"{self.paths[name]} was not made for this model (model_fingerprint {fingerprint})")
+
     def _load_table(self) -> ThresholdTable:
         """The given table; one made for another model, rate grid or layer shape is a ConfigError."""
         table, model = self._read_json(self._given_path("table"), "table", ThresholdTable.from_json), self["model"]
-        if table.model_fingerprint != model.fingerprint():
-            raise ConfigError(f"{self.paths['table']} was profiled for another model")
+        self._check_fingerprint("table", table.model_fingerprint)
         shapes = {i: (model.params[i]["w"].shape[0], RATE_GRID_STEPS) for i in model.parametric_layers()}
         layers_fit = shapes == {i: t.shape for i, t in table.thresholds.items()}
         if not (layers_fit and np.array_equal(table.rate_grid, RATE_GRID)):
@@ -372,8 +392,11 @@ class RunState:
         return table
 
     def _load_thresholds(self) -> DetectionThresholds:
-        path = self._given_path("thresholds")
-        return self._read_json(path, "thresholds", lambda payload: DetectionThresholds.from_json(payload["thresholds"]))
+        """The given thresholds; ones calibrated for another model, or for none named, are a ConfigError."""
+        parse = lambda payload: (DetectionThresholds.from_json(payload["thresholds"]), payload.get("model_fingerprint"))
+        thresholds, fingerprint = self._read_json(self._given_path("thresholds"), "thresholds", parse)
+        self._check_fingerprint("thresholds", fingerprint)
+        return thresholds
 
     @staticmethod
     def _read_json(path: Path, name: str, parse=lambda payload: payload):
@@ -474,7 +497,8 @@ def stage_calibrate(state: RunState) -> str:
     )
     thresholds = state["thresholds"] = calibrate(distances, cfg.detector.target_fpr)
     path = state.out / "thresholds.json"
-    write_json_artifact(path, {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector.target_fpr}, cfg)
+    payload = {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector.target_fpr}
+    write_json_artifact(path, {**payload, "model_fingerprint": state["model"].fingerprint()}, cfg)
     return f"calibrated on {len(inputs)} benign inputs -> {path}"
 
 
@@ -589,7 +613,6 @@ def evaluate_attack_sets(
             "metrics": {
                 "detection_rate": _mean([v.label == "adversarial" for v in adv_verdicts]),
                 "fpr": benign_fpr,
-                "tpr": 1.0 - benign_fpr,
                 "mean_runs": _mean(benign_runs + [v.runs_used for v in adv_verdicts]),
                 "benign_count": len(benign_verdicts),
                 "adversarial_count": len(adv_verdicts),
@@ -606,14 +629,6 @@ def evaluate_attack_sets(
 def _mean(values) -> float | None:
     """The mean of a sequence as a float, or None for an empty one."""
     return float(np.mean(values)) if len(values) else None
-
-
-def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
-    lines = [canonical_json(v.to_json(input_id=i)) for i, v in enumerate(verdicts)]
-    prov = provenance(cfg)
-    prov["payload_sha256"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    head = canonical_json({"provenance": prov})
-    path.write_text("\n".join([head] + lines) + "\n", encoding="utf-8")
 
 
 def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:
@@ -636,7 +651,7 @@ def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:
 # a field of an attack's metrics record or of its "metrics"; "k" and "beta" name its swept param.
 REPORT_CSVS = (
     ("metrics.csv", None, "kind param attack", "attack kind param sources successes success_rate "
-     "mean_l2_distortion mean_confidence mean_l1_to_target detection_rate fpr tpr mean_runs"),
+     "mean_l2_distortion mean_confidence mean_l1_to_target detection_rate fpr mean_runs"),
     ("k_sweep.csv", "cw_l2", "param", "k mean_l2_distortion detection_rate"),
     ("beta_sweep.csv", "defense_aware", "param", "beta mean_confidence mean_l1_to_target mean_l2_distortion "
      "detection_rate"),

@@ -6,6 +6,9 @@ session-scoped and derived deterministically from FIXTURE_SEED.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from stochdet.attacks import AttackConfig, attack_sets, pick_exemplars
 from stochdet.data import synth_dataset
 from stochdet.detector import calibrate, calibration_distances
 from stochdet.model import TrainConfig, conv_pool_arch, loss_gradients, profile_thresholds, train
+from stochdet.pipeline import artifact_payload, verify_artifact
 from stochdet.rng import derive_seed
 from stochdet.sparsify import NoiseConfig
 
@@ -145,3 +149,11 @@ def loss_value(model, x, loss) -> float:
     trace = model.forward_trace(batch)
     values, _, _ = loss.value_and_grads(trace.logits, trace.probs, batch)
     return float(values[0])
+
+
+def verified_payload(data: bytes) -> bytes | None:
+    """The payload bytes of a container that `verify` calls ok, or None for one it does not."""
+    with tempfile.TemporaryDirectory() as tmp:  # hypothesis refuses the function-scoped tmp_path
+        path = Path(tmp) / "container.bin"
+        path.write_bytes(data)
+        return artifact_payload(path)[1] if verify_artifact(path)[0] else None

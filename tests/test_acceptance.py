@@ -5,7 +5,6 @@ Every tolerance is pinned here; nothing defers to later calibration.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
@@ -21,7 +20,7 @@ from stochdet.detector import (
     first_pass_distances,
 )
 from stochdet.model import LayerSpec, RATE_GRID, init_model
-from stochdet.pipeline import ExperimentConfig, run_pipeline
+from stochdet.pipeline import ExperimentConfig, artifact_payload, read_json_artifact, run_pipeline
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import draw_plan, noisy_activation_forward, noisy_forward
 from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, input_gradient, loss_value, successful_inputs
@@ -393,10 +392,6 @@ def test_criterion_8_simulator_correctness(fixture_model, fixture_table):
         assert report.sparse_cycles <= report.dense_cycles
 
 
-def _strip_comments(blob: bytes) -> bytes:
-    return b"".join(l for l in blob.splitlines(keepends=True) if not l.startswith(b"# "))
-
-
 def test_criterion_9_end_to_end_determinism(tmp_path):
     with Criterion(9, "pipeline reruns bitwise identical; seed change bounded", 1800):
         out_a = tmp_path / "run_a"
@@ -405,8 +400,8 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         check_golden("default", out_a)  # every payload as recorded in tests/golden/payloads.json
         csv_names = ("metrics.csv", "k_sweep.csv", "beta_sweep.csv", "cycles.csv")
         snapshot = {n: (out_a / n).read_bytes() for n in csv_names}
-        metrics_a = json.loads((out_a / "metrics.json").read_text())["payload"]
-        verdicts_a = (out_a / "verdicts_benign.jsonl").read_text().splitlines()[1:]
+        metrics_a = read_json_artifact(out_a / "metrics.json")[1]
+        verdicts_a = artifact_payload(out_a / "verdicts_benign.jsonl")[1]
 
         # identical config, rerun in place: every metric CSV byte-identical
         run_pipeline(cfg, log=lambda *_: None)
@@ -417,9 +412,9 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         out_b = tmp_path / "run_b"
         cfg_b = ExperimentConfig(out_dir=str(out_b), base_seed=8)
         run_pipeline(cfg_b, log=lambda *_: None)
-        verdicts_b = (out_b / "verdicts_benign.jsonl").read_text().splitlines()[1:]
+        verdicts_b = artifact_payload(out_b / "verdicts_benign.jsonl")[1]
         assert verdicts_a != verdicts_b, "per-sample verdict logs identical across seeds"
-        metrics_b = json.loads((out_b / "metrics.json").read_text())["payload"]
+        metrics_b = read_json_artifact(out_b / "metrics.json")[1]
         for name in ("cw_l2_next_k0", "cw_l2_next_k2", "cw_l2_next_k5"):
             da = metrics_a[name]["metrics"]
             db = metrics_b[name]["metrics"]

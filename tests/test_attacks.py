@@ -20,7 +20,7 @@ from stochdet.attacks import (
     select_target,
 )
 from stochdet.nn import CompositeLoss, ProbVector
-from tests.conftest import input_gradient, loss_value
+from tests.conftest import input_gradient, loss_value, verified_payload
 from tests.test_nn import finite_difference
 
 
@@ -323,6 +323,8 @@ def _overwrite(at: int, patch: bytes) -> bytes:
 )
 @settings(max_examples=300, deadline=None)
 def test_adversarial_set_fuzz_yields_typed_error_or_samples(data):
+    # verify never raises, and passes only a container whose payload is the one saved
+    assert verified_payload(data) in (None, verified_payload(_one_sample_set()))
     try:
         samples = load_adversarial_set(data)
     except AttackError:

@@ -15,14 +15,18 @@ from stochdet.data import load_idx_dataset, serialize_idx
 from stochdet.detector import l1_distance
 from stochdet.model import TrainConfig
 from stochdet.pipeline import (
+    ARTIFACT_SUFFIXES,
     DetectorSettings,
     ExperimentConfig,
     HISTOGRAM_BINS,
     RunState,
+    artifact_payload,
     config_hash,
+    read_json_artifact,
     run_pipeline,
     stage_simulate,
     verify_artifact,
+    write_json_artifact,
 )
 from stochdet.sparsify import noisy_forward
 
@@ -56,17 +60,14 @@ def write_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
-def artifact_payloads(run_dir: Path) -> dict:
-    """Every text artifact's content with its provenance stripped."""
-    payloads = {}
-    for path in sorted(run_dir.iterdir()):
-        if path.suffix == ".json":
-            payloads[path.name] = json.loads(path.read_text())["payload"]
-        elif path.suffix == ".csv":
-            payloads[path.name] = [l for l in path.read_text().splitlines() if not l.startswith("# ")]
-        elif path.suffix == ".jsonl":
-            payloads[path.name] = path.read_text().splitlines()[1:]
-    return payloads
+def artifact_payloads(run_dir: Path) -> dict[str, bytes]:
+    """Every artifact's payload bytes, provenance left out, by file name."""
+    return {p.name: artifact_payload(p)[1] for p in sorted(run_dir.iterdir()) if p.suffix in ARTIFACT_SUFFIXES}
+
+
+def payload_lines(path: Path) -> list[str]:
+    """The lines of a text artifact's payload: a CSV's rows, a verdict log's records."""
+    return artifact_payload(path)[1].decode().splitlines()
 
 
 @pytest.fixture(scope="module")
@@ -102,13 +103,12 @@ def test_artifacts_embed_config_hash(pipeline_run):
     cfg, _ = pipeline_run
     out = Path(cfg.out_dir)
     expected_hash = config_hash(cfg)
-    doc = json.loads((out / "metrics.json").read_text())
-    prov = doc["provenance"]
+    prov = artifact_payload(out / "metrics.json")[0]
     assert prov["config_hash"] == expected_hash
     assert prov["base_seed"] == cfg.base_seed
     assert "tool_version" in prov
-    head = (out / "metrics.csv").read_text().splitlines()[:6]
-    assert any(f"config_hash={expected_hash}" in line for line in head)
+    assert artifact_payload(out / "metrics.csv")[0]["config_hash"] == expected_hash
+    assert artifact_payload(out / "model.bin")[0]["config_hash"] == expected_hash
 
 
 def test_verify_passes_on_untampered_run(pipeline_run, capsys):
@@ -119,42 +119,51 @@ def test_verify_passes_on_untampered_run(pipeline_run, capsys):
         assert ok, f"{artifact}: {detail}"
     assert main(["verify", str(out)]) == 0
     status = {Path(line.split()[1]).name: line.split()[0] for line in capsys.readouterr().out.splitlines()}
-    assert status["model.bin"] == status["adv_cw_l2_next_k0.bin"] == "skipped"
-    assert status["metrics.json"] == status["metrics.csv"] == status["verdicts_benign.jsonl"] == "ok"
+    assert status["model.bin"] == status["adv_cw_l2_next_k0.bin"] == status["metrics.csv"] == "ok"
+    assert set(status.values()) == {"ok"}, status
 
 
 def test_verify_flags_tampering(pipeline_run, tmp_path):
-    cfg, _ = pipeline_run
-    src = Path(cfg.out_dir) / "metrics.csv"
-    tampered = tmp_path / "metrics.csv"
-    text = src.read_text().replace("cw_l2", "cw_l3", 1)
-    tampered.write_text(text)
-    ok, detail = verify_artifact(tampered)
-    assert not ok and "mismatch" in detail
-    assert main(["verify", str(tampered)]) == 3
+    run_dir = Path(pipeline_run[0].out_dir)
+    (tmp_path / "metrics.csv").write_text((run_dir / "metrics.csv").read_text().replace("cw_l2", "cw_l3", 1))
+    model = bytearray((run_dir / "model.bin").read_bytes())
+    model[-1] ^= 1  # one bit of the last weight
+    (tmp_path / "model.bin").write_bytes(model)
+    for tampered in (tmp_path / "metrics.csv", tmp_path / "model.bin"):
+        ok, detail = verify_artifact(tampered)
+        assert not ok and "mismatch" in detail, tampered.name
+        assert main(["verify", str(tampered)]) == 3
 
 
 @pytest.mark.parametrize(
-    "name, text",
+    "name, content",
     [
         ("empty.jsonl", ""),
         ("list_root.json", "[1, 2]"),
         ("text_provenance.json", '{"provenance": "x", "payload": {}}'),
         ("number_hash.json", '{"provenance": {"payload_sha256": 5}, "payload": {}}'),
         ("no_hash.csv", "# base_seed=7\nattack,kind\ncw_l2_next_k0,cw_l2\n"),
+        ("truncated.bin", lambda model: model[:-8]),
+        ("bad_magic.bin", lambda model: b"SDMODEL2" + model[8:]),
     ],
-    ids=["empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash", "csv-without-hash"],
+    ids=[
+        "empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash", "csv-without-hash",
+        "truncated-container", "bad-magic-container",
+    ],
 )
-def test_verify_flags_unreadable_provenance_and_goes_on(pipeline_run, tmp_path, capsys, name, text):
-    cfg, _ = pipeline_run
-    (tmp_path / f"a_{name}").write_text(text)
-    shutil.copy(Path(cfg.out_dir) / "metrics.csv", tmp_path / "b_metrics.csv")  # checked after the bad file
+def test_verify_flags_unreadable_provenance_and_goes_on(pipeline_run, tmp_path, capsys, name, content):
+    run_dir = Path(pipeline_run[0].out_dir)
+    data = content((run_dir / "model.bin").read_bytes()) if callable(content) else content.encode()
+    (tmp_path / f"a_{name}").write_bytes(data)
+    shutil.copy(run_dir / "metrics.csv", tmp_path / "b_metrics.csv")  # checked after the bad file
+    (tmp_path / "c_notes.txt").write_text("not an artifact")
     ok, detail = verify_artifact(tmp_path / f"a_{name}")
     assert not ok and "unreadable provenance" in detail
     assert main(["verify", str(tmp_path)]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("TAMPERED") and f"a_{name}" in out[0] and "unreadable provenance" in out[0]
     assert out[1].startswith("ok") and "b_metrics.csv" in out[1]
+    assert out[2].startswith("skipped") and "c_notes.txt" in out[2] and "not an artifact" in out[2]
 
 
 @pytest.mark.parametrize("name", ["out_dir", "model_path"])
@@ -166,22 +175,20 @@ def test_a_non_string_path_field_is_a_config_error(tmp_path, capsys, name):
 
 def test_histogram_bins_sum_to_sample_count(pipeline_run):
     cfg, _ = pipeline_run
-    doc = json.loads((Path(cfg.out_dir) / "l1_histograms.json").read_text())
-    payload = doc["payload"]
+    payload = read_json_artifact(Path(cfg.out_dir) / "l1_histograms.json")[1]
     assert len(payload["bin_edges"]) == len(HISTOGRAM_BINS)
     for name, entry in payload["sets"].items():
         assert sum(entry["counts"]) == entry["count"], name
 
 
 def first_passes(run_dir: Path, name: str) -> np.ndarray:
-    lines = (run_dir / f"verdicts_{name}.jsonl").read_text().splitlines()[1:]
-    return np.array([json.loads(line)["l1_history"][0] for line in lines])
+    return np.array([json.loads(line)["l1_history"][0] for line in payload_lines(run_dir / f"verdicts_{name}.jsonl")])
 
 
 def test_histograms_are_the_verdicts_first_passes(pipeline_run):
     cfg, _ = pipeline_run
     out = Path(cfg.out_dir)
-    sets = json.loads((out / "l1_histograms.json").read_text())["payload"]["sets"]
+    sets = read_json_artifact(out / "l1_histograms.json")[1]["sets"]
     logged = {p.stem.removeprefix("verdicts_") for p in out.glob("verdicts_*.jsonl")}
     assert set(sets) == {name for name in logged if first_passes(out, name).size}
     for name, entry in sets.items():
@@ -221,7 +228,7 @@ def test_report_reads_only_metrics_and_cycles(pipeline_run, tmp_path, capsys):
         path.unlink()
     cfg_path = write_config(tmp_path)
     assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert artifact_payloads(out) == artifact_payloads(run_dir)
+    assert artifact_payloads(out) == {n: p for n, p in artifact_payloads(run_dir).items() if not n.endswith(".bin")}
     for extra in (["--model", str(run_dir / "model.bin")], ["--base-seed", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(["report", "--config", str(cfg_path), "--out", str(out), *extra])
@@ -267,7 +274,7 @@ def test_report_refuses_a_wrong_shaped_payload(pipeline_run, tmp_path, capsys, n
     out = tmp_path / "out"
     shutil.copytree(Path(pipeline_run[0].out_dir), out)
     bad = out / f"{name}.json"
-    bad.write_text(json.dumps({"provenance": {}, "payload": payload}))
+    write_json_artifact(bad, payload, pipeline_run[0])
     assert main(["report", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(bad) in err
@@ -276,8 +283,7 @@ def test_report_refuses_a_wrong_shaped_payload(pipeline_run, tmp_path, capsys, n
 @pytest.mark.parametrize("mismatch", ["fingerprint", "rate-grid", "grid-columns", "missing-layer"])
 def test_table_that_does_not_fit_the_model_is_a_config_error(pipeline_run, tmp_path, capsys, mismatch):
     run_dir = Path(pipeline_run[0].out_dir)
-    doc = json.loads((run_dir / "threshold_table.json").read_text())
-    table = doc["payload"]
+    table = read_json_artifact(run_dir / "threshold_table.json")[1]
     if mismatch == "fingerprint":
         table["model_fingerprint"] = "0" * 64
     elif mismatch == "rate-grid":
@@ -286,12 +292,31 @@ def test_table_that_does_not_fit_the_model_is_a_config_error(pipeline_run, tmp_p
         table["thresholds"] = {k: [row[:16] for row in v] for k, v in table["thresholds"].items()}
     else:
         del table["thresholds"]["3"]
-    (tmp_path / "table.json").write_text(json.dumps(doc))
+    write_json_artifact(tmp_path / "table.json", table, pipeline_run[0])
     argv = ["calibrate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
     argv += ["--model", str(run_dir / "model.bin"), "--table", str(tmp_path / "table.json")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "table.json" in err
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda p: p.update(model_fingerprint="0" * 64), lambda p: p.pop("model_fingerprint")],
+    ids=["another-model", "no-fingerprint"],
+)
+def test_thresholds_for_another_model_are_a_config_error(pipeline_run, tmp_path, capsys, monkeypatch, edit):
+    """detect refuses thresholds calibrated for another model, or naming none, before it computes a verdict."""
+    run_dir = Path(pipeline_run[0].out_dir)
+    payload = read_json_artifact(run_dir / "thresholds.json")[1]
+    edit(payload)
+    bad = tmp_path / "thresholds.json"
+    write_json_artifact(bad, payload, pipeline_run[0])
+    monkeypatch.setattr("stochdet.cli.detect_set", lambda *_: pytest.fail("detect computed verdicts"))
+    argv = ["detect", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+    argv += ["--model", str(run_dir / "model.bin"), "--table", str(run_dir / "threshold_table.json")]
+    assert main([*argv, "--thresholds", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err and "not made for this model" in err
 
 
 @pytest.mark.parametrize("command", ["eval", "detect"])
@@ -314,10 +339,10 @@ def test_truncated_adversarial_set_is_a_config_error(pipeline_run, tmp_path, cap
 
 def test_thresholds_missing_a_field_is_a_config_error(pipeline_run, tmp_path, capsys):
     run_dir = Path(pipeline_run[0].out_dir)
-    doc = json.loads((run_dir / "thresholds.json").read_text())
-    del doc["payload"]["thresholds"]["t2_avg"]
+    payload = read_json_artifact(run_dir / "thresholds.json")[1]
+    del payload["thresholds"]["t2_avg"]
     bad = tmp_path / "thresholds.json"
-    bad.write_text(json.dumps(doc))
+    write_json_artifact(bad, payload, pipeline_run[0])
     argv = ["detect", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
     argv += ["--model", str(run_dir / "model.bin"), "--table", str(run_dir / "threshold_table.json")]
     assert main([*argv, "--thresholds", str(bad)]) == 2
@@ -341,9 +366,7 @@ def test_detect_name_with_a_path_separator_is_a_config_error(pipeline_run, tmp_p
 
 def test_metrics_csv_schema_and_order(pipeline_run):
     cfg, _ = pipeline_run
-    lines = [
-        l for l in (Path(cfg.out_dir) / "metrics.csv").read_text().splitlines() if not l.startswith("#")
-    ]
+    lines = payload_lines(Path(cfg.out_dir) / "metrics.csv")
     header = lines[0].split(",")
     assert header[:3] == ["attack", "kind", "param"]
     kinds = [l.split(",")[1] for l in lines[1:]]
@@ -352,9 +375,7 @@ def test_metrics_csv_schema_and_order(pipeline_run):
 
 def test_beta_sweep_columns(pipeline_run):
     cfg, _ = pipeline_run
-    lines = [
-        l for l in (Path(cfg.out_dir) / "beta_sweep.csv").read_text().splitlines() if not l.startswith("#")
-    ]
+    lines = payload_lines(Path(cfg.out_dir) / "beta_sweep.csv")
     assert lines[0].split(",") == [
         "beta",
         "mean_confidence",
@@ -371,13 +392,8 @@ def test_rerun_bitwise_identical_metrics(tmp_path):
     run_pipeline(cfg_a, log=lambda *_: None)
     run_pipeline(cfg_b, log=lambda *_: None)
     for name in ("metrics.csv", "k_sweep.csv", "beta_sweep.csv", "cycles.csv"):
-        a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        # identical configs except out_dir; strip the hash-bearing comment lines
-        strip = lambda blob: b"".join(
-            l for l in blob.splitlines(keepends=True) if not l.startswith(b"# ")
-        )
-        assert strip(a) == strip(b), name
+        # identical configs except out_dir, which only the provenance records
+        assert artifact_payload(tmp_path / "a" / name)[1] == artifact_payload(tmp_path / "b" / name)[1], name
 
 
 def test_missing_model_path_is_config_error(tmp_path, capsys):

@@ -1,12 +1,12 @@
 """Byte identity as a test: every payload `stochdet run` writes, against a golden file.
 
-`tests/golden/payloads.json` holds, per config, the payload sha256 of every
-file a run writes. Text artifacts contribute the `payload_sha256` their
-provenance declares (and `verify` re-derives); the model and adversarial-set
-containers contribute a hash of their manifest without provenance and their
-array blob. Provenance itself is left out: its `config_hash` covers the
-output directory. The file also records the numpy and BLAS build the hashes
-were taken on, so a mismatch on another build can be told from a moved payload.
+`tests/golden/payloads.json` holds, per config, the sha256 of the payload
+bytes of every file a run writes, as `pipeline.artifact_payload` derives
+them from the file: the bytes its declared `payload_sha256` covers, which
+`verify` also checks. Provenance itself is left out: its `config_hash`
+covers the output directory. The file also records the numpy and BLAS
+build the hashes were taken on, so a mismatch on another build can be
+told from a moved payload.
 
 A change that moves payloads on purpose re-records the file in the same
 commit: `PYTHONPATH=src python tests/test_golden.py` runs both configs.
@@ -25,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from stochdet.pipeline import ExperimentConfig, canonical_json, read_json_artifact, run_pipeline
+from stochdet.pipeline import ExperimentConfig, artifact_payload, run_pipeline, verify_artifact
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "payloads.json"
-CONTAINER_MAGIC = (b"SDMODEL1", b"SDADVS01")
 
 # the values of perfbench's EXPERIMENT_CONFIG: every stage, about a second and a half
 FAST_CONFIG = {
@@ -55,21 +54,8 @@ FAST_CONFIG = {
 
 
 def payload_hash(path: Path) -> str:
-    """The sha256 of one artifact's payload, provenance left out."""
-    data = path.read_bytes()
-    if data[:8] in CONTAINER_MAGIC:
-        blob_start = 16 + int.from_bytes(data[8:16], "little")
-        manifest = json.loads(data[16:blob_start])
-        manifest.pop("provenance", None)
-        return hashlib.sha256(canonical_json(manifest).encode() + data[blob_start:]).hexdigest()
-    if path.suffix == ".json":
-        return read_json_artifact(path)[0]["payload_sha256"]
-    if path.suffix == ".jsonl":
-        return json.loads(data.split(b"\n", 1)[0])["provenance"]["payload_sha256"]
-    if path.suffix == ".csv":
-        declared = [l for l in data.decode().splitlines() if l.startswith("# payload_sha256=")]
-        return declared[0].split("=", 1)[1]
-    raise AssertionError(f"{path.name} is no artifact kind the golden file knows")
+    """The sha256 of one artifact's payload bytes, provenance left out."""
+    return hashlib.sha256(artifact_payload(path)[1]).hexdigest()
 
 
 def payload_hashes(run_dir: Path) -> dict[str, str]:
@@ -86,7 +72,9 @@ def machine_facts() -> dict:
 
 
 def check_golden(name: str, run_dir: Path) -> None:
-    """Fail, naming each moved file and both machines, unless run_dir's payloads are the golden ones."""
+    """Fail, naming each moved file and both machines, unless run_dir's payloads are the golden ones and verify."""
+    unverified = {p.name: detail for p in sorted(run_dir.iterdir()) if (detail := verify_artifact(p)[1]) != "ok"}
+    assert not unverified, f"{name} config: files that do not verify ok: {unverified}"
     golden = json.loads(GOLDEN.read_text())
     want, got = golden["configs"][name], payload_hashes(run_dir)
     moved = sorted(f for f in set(want) | set(got) if want.get(f) != got.get(f))

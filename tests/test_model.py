@@ -13,12 +13,12 @@ from stochdet.data import synth_dataset
 from stochdet.rng import substream
 from stochdet.model import (
     LayerSpec,
+    MODEL_MAGIC,
     Model,
     ModelFormatError,
     RATE_GRID,
     TrainConfig,
     TrainingDiverged,
-    _MAGIC,
     conv_pool_arch,
     filter_thresholds,
     init_model,
@@ -27,6 +27,7 @@ from stochdet.model import (
     save_model,
     train,
 )
+from tests.conftest import verified_payload
 
 def small_sets():
     return synth_dataset(21, 300), synth_dataset(22, 120)
@@ -194,6 +195,7 @@ def test_predict_rejects_wrong_shape(fixture_model):
 
 def test_save_load_roundtrip_bitwise(fixture_model):
     blob = save_model(fixture_model)
+    assert verified_payload(blob) is not None  # saved without provenance, it still declares its payload hash
     loaded = load_model(blob)
     assert loaded.class_count == fixture_model.class_count
     assert loaded.input_shape == fixture_model.input_shape
@@ -214,26 +216,26 @@ def test_truncated_blob_rejected(fixture_model):
 
 def test_corrupt_manifest_names_offending_layer(fixture_model):
     data = save_model(fixture_model)
-    (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
-    start = len(_MAGIC) + 8
+    (manifest_len,) = struct.unpack_from("<Q", data, len(MODEL_MAGIC))
+    start = len(MODEL_MAGIC) + 8
     manifest = json.loads(data[start : start + manifest_len])
     # claim a conv weight shape inconsistent with the blob
     conv_entry = next(e for e in manifest["layers"] if e["kind"] == "conv2d")
     conv_entry["w_shape"] = [512, 512, 9, 9]
     raw = json.dumps(manifest, sort_keys=True).encode()
-    corrupted = _MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + manifest_len :]
+    corrupted = MODEL_MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + manifest_len :]
     with pytest.raises(ModelFormatError, match=r"layer 0 \(conv2d\)"):
         load_model(corrupted)
 
 
 def test_unknown_layer_kind_rejected(fixture_model):
     data = save_model(fixture_model)
-    (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
-    start = len(_MAGIC) + 8
+    (manifest_len,) = struct.unpack_from("<Q", data, len(MODEL_MAGIC))
+    start = len(MODEL_MAGIC) + 8
     manifest = json.loads(data[start : start + manifest_len])
     manifest["layers"][1]["kind"] = "batchnorm"
     raw = json.dumps(manifest, sort_keys=True).encode()
-    corrupted = _MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + manifest_len :]
+    corrupted = MODEL_MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + manifest_len :]
     with pytest.raises(ModelFormatError, match="unknown layer kind"):
         load_model(corrupted)
 
@@ -250,12 +252,12 @@ def _tiny_container() -> bytes:
 
 
 def _model_with_manifest(manifest: bytes, blob: bytes = b"") -> bytes:
-    return _MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob
+    return MODEL_MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob
 
 
 def _edit_manifest(data: bytes, edit) -> bytes:
-    (manifest_len,) = struct.unpack_from("<Q", data, len(_MAGIC))
-    start = len(_MAGIC) + 8
+    (manifest_len,) = struct.unpack_from("<Q", data, len(MODEL_MAGIC))
+    start = len(MODEL_MAGIC) + 8
     manifest = json.loads(data[start : start + manifest_len])
     edit(manifest)
     return _model_with_manifest(json.dumps(manifest).encode(), data[start + manifest_len :])
@@ -305,6 +307,8 @@ def _overwrite_model(at: int, patch: bytes) -> bytes:
 )
 @settings(max_examples=300, deadline=None)
 def test_load_model_fuzz_yields_typed_error_or_model(data):
+    # verify never raises, and passes only a container whose payload is the one saved
+    assert verified_payload(data) in (None, verified_payload(_tiny_container()))
     try:
         model = load_model(data)
     except ModelFormatError:
