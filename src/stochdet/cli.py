@@ -101,7 +101,7 @@ def cmd_detect(args) -> int:
     else:
         inputs, tag = state["benign_eval"], "benign"
     verdicts = detect_set(state["model"], state["table"], state.detector_config(), inputs, tag)
-    path = state.out / f"verdicts_{args.name or tag}.jsonl"
+    path = state.path("verdicts", args.name or tag)
     write_verdict_log(path, verdicts, state.cfg)
     flagged = sum(1 for v in verdicts if v.label == "adversarial")
     print(f"{flagged}/{len(verdicts)} flagged adversarial -> {path}")

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -192,22 +192,6 @@ class Model:
             h.update(self.params[idx]["b"].astype("<f8").tobytes())
         object.__setattr__(self, "_fingerprint", h.hexdigest())
         return self._fingerprint
-
-    def clone_with_zeroed(self, masks: dict[int, np.ndarray]) -> "Model":
-        """Copy of the model with masked weights physically set to zero."""
-        params = {
-            i: {"w": p["w"].copy(), "b": p["b"].copy()} for i, p in self.params.items()
-        }
-        for idx, mask in masks.items():
-            params[idx]["w"] = params[idx]["w"] * np.asarray(mask, dtype=np.float64).reshape(
-                params[idx]["w"].shape
-            )
-        return Model(
-            layers=[replace(s) for s in self.layers],
-            params=params,
-            class_count=self.class_count,
-            input_shape=self.input_shape,
-        )
 
 
 @dataclass

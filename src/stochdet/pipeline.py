@@ -20,6 +20,7 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, replace
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,6 @@ from .detector import (
 )
 from .model import MODEL_MAGIC, canonical_json, container_payload, read_container
 from .model import (
-    RATE_GRID,
-    RATE_GRID_STEPS,
     Model,
     TrainConfig,
     _propagate_shapes,
@@ -65,7 +64,7 @@ from .model import (
     train,
 )
 from .rng import derive_seed
-from .sparsify import NoiseConfig
+from .sparsify import NoiseConfig, PlanMismatch, rate_bank
 
 HISTOGRAM_BINS = np.round(np.arange(0.0, 2.0 + 1e-9, 0.05), 10)
 
@@ -242,20 +241,41 @@ def write_verdict_log(path: Path, verdicts, cfg: ExperimentConfig) -> None:
     _write_artifact(path, cfg, "\n".join(lines), log)
 
 
-ARTIFACT_SUFFIXES = (".json", ".jsonl", ".csv", ".bin")
+# What a run writes: kind -> (file name, the stage that writes it). "{}" in a name stands for a set
+# name, an attack's for adv_{}.bin and a verdict set's for verdicts_{}.jsonl. A file is an artifact
+# by its name alone, so a copy of the config in a run directory is not one.
+RUN_FILES = {
+    "model": ("model.bin", "train"),
+    "train_report": ("train_report.json", "train"),
+    "table": ("threshold_table.json", "profile"),
+    "adv_set": ("adv_{}.bin", "attack"),
+    "thresholds": ("thresholds.json", "calibrate"),
+    "verdicts": ("verdicts_{}.jsonl", "eval"),
+    "histograms": ("l1_histograms.json", "eval"),
+    "metrics": ("metrics.json", "eval"),
+    "cycles": ("cycles.json", "simulate"),
+    "metrics_csv": ("metrics.csv", "report"),
+    "k_sweep": ("k_sweep.csv", "report"),
+    "beta_sweep": ("beta_sweep.csv", "report"),
+    "cycles_csv": ("cycles.csv", "report"),
+}
+
+
+def artifact_kind(name: str) -> str | None:
+    """The RUN_FILES kind of a file name, or None for a file that no run writes."""
+    return next((k for k, (f, _) in RUN_FILES.items() if fnmatchcase(name, f.replace("{}", "?*"))), None)
 
 
 def artifact_payload(path: Path) -> tuple[dict, bytes]:
-    """The provenance an artifact declares and the payload bytes its payload_sha256 covers, by suffix.
+    """The provenance an artifact declares and the payload bytes its payload_sha256 covers.
 
-    A file that cannot hold them raises KeyError, TypeError or ValueError."""
-    if path.suffix not in ARTIFACT_SUFFIXES:
+    Its name gives its kind and its suffix the format. A file that cannot hold them raises
+    KeyError, TypeError or ValueError."""
+    kind = artifact_kind(path.name)
+    if kind is None:
         raise ValueError(f"{path.name} is not an artifact")
     if path.suffix == ".bin":
-        data = path.read_bytes()
-        if data[:8] not in (MODEL_MAGIC, SET_MAGIC):
-            raise ValueError(f"not a model or adversarial-set container: magic {data[:8]!r}")
-        manifest, blob = read_container(data, data[:8], ValueError)
+        manifest, blob = read_container(path.read_bytes(), MODEL_MAGIC if kind == "model" else SET_MAGIC, ValueError)
         return manifest.pop("provenance"), container_payload(manifest, blob)
     if path.suffix == ".json":
         prov, payload = read_json_artifact(path)
@@ -270,7 +290,7 @@ def artifact_payload(path: Path) -> tuple[dict, bytes]:
 
 def verify_artifact(path: Path) -> tuple[bool, str]:
     """Re-derive the payload hash an artifact declares; flag tampering."""
-    if path.suffix not in ARTIFACT_SUFFIXES:
+    if artifact_kind(path.name) is None:
         return True, "skipped (not an artifact)"
     try:
         prov, payload = artifact_payload(path)
@@ -315,15 +335,46 @@ def load_dataset_spec(spec: str, count: int, image_size: int, sub: str, start: i
     return Dataset(full.images[start:end], full.labels[start:end], full.class_count)
 
 
+def _fitted_table(payload: dict, model: Model) -> ThresholdTable:
+    """The table in payload; rate_bank refuses one that does not fit the model with PlanMismatch."""
+    table = ThresholdTable.from_json(payload)
+    rate_bank(model, table)
+    return table
+
+
+def _model_thresholds(payload: dict, model: Model) -> DetectionThresholds:
+    """The thresholds in payload; ones calibrated for another model, or for none named, raise PlanMismatch."""
+    if payload.get("model_fingerprint") != model.fingerprint():
+        raise PlanMismatch(f"calibrated for model_fingerprint {payload.get('model_fingerprint')}")
+    return DetectionThresholds.from_json(payload["thresholds"])
+
+
 class RunState:
     """The config, the output directory and the artifacts of one run so far.
 
     Stages store what they produce here, so `run` hands every object on in
     memory. An artifact that no earlier stage produced is resolved on first
-    use: the model, table and thresholds from their paths, the configured
-    attack sets, metrics and cycles from the output directory, and the
-    datasets by loading them.
+    use by its LOADERS entry: the model, table and thresholds from their
+    given paths, the configured attack sets, metrics and cycles from their
+    RUN_FILES names in the output directory, and the datasets by loading
+    them. Each loader looks its functions up in this module when it runs.
     """
+
+    LOADERS = {
+        "train_set": lambda s: load_dataset_spec(s.cfg.dataset, s.cfg.train_count, s.cfg.image_size, "train"),
+        "test_set": lambda s: load_dataset_spec(
+            s.cfg.dataset, s.cfg.test_count, s.cfg.image_size, "test", start=s.cfg.train_count
+        ),
+        "benign_eval": lambda s: s["test_set"].images[s.cfg.calib_count : s.cfg.calib_count + s.cfg.benign_eval_count],
+        "model": lambda s: load_model(s._given_path("model").read_bytes()),
+        "table": lambda s: s._read_json("table", _fitted_table),
+        "thresholds": lambda s: s._read_json("thresholds", _model_thresholds),
+        "adv_sets": lambda s: {
+            spec.name: s.read_adversarial_set(s._run_file("adv_set", spec.name)) for spec in s.cfg.attacks
+        },
+        "metrics": lambda s: s._read_json("metrics", lambda p, _: (_attack_tables(p), p)[1]),
+        "cycles": lambda s: s._read_json("cycles", lambda p, _: (_cycle_table(p), p)[1]),
+    }
 
     def __init__(self, cfg: ExperimentConfig, table_path: str = "", thresholds_path: str = ""):
         self.cfg = cfg
@@ -334,7 +385,7 @@ class RunState:
 
     def __getitem__(self, name: str):
         if name not in self.artifacts:
-            self.artifacts[name] = getattr(self, f"_load_{name}")()
+            self.artifacts[name] = self.LOADERS[name](self)
         return self.artifacts[name]
 
     def __setitem__(self, name: str, value) -> None:
@@ -348,6 +399,16 @@ class RunState:
             base_seed=self.cfg.base_seed,
         )
 
+    def path(self, kind: str, set_name: str = "") -> Path:
+        """Where in the output directory a run writes its `kind` file (of set `set_name`, for a family)."""
+        return self.out / RUN_FILES[kind][0].format(set_name)
+
+    def _run_file(self, kind: str, set_name: str = "") -> Path:
+        path = self.path(kind, set_name)
+        if not path.exists():
+            raise ConfigError(f"no {path.name} in {self.out}; run `{RUN_FILES[kind][1]}` first")
+        return path
+
     def _given_path(self, name: str) -> Path:
         if not self.paths[name]:
             raise ConfigError(f"the '{name}' field is required for this command (--{name})")
@@ -356,53 +417,17 @@ class RunState:
             raise ConfigError(f"config field '{name}' points to a missing path: {path}")
         return path
 
-    def _run_file(self, name: str, stage: str) -> Path:
-        path = self.out / name
-        if not path.exists():
-            raise ConfigError(f"no {name} in {self.out}; run `{stage}` first")
-        return path
+    def _read_json(self, name: str, parse):
+        """parse(payload, model) of the `name` JSON artifact: the given file, else the one in --out.
 
-    def _load_train_set(self) -> Dataset:
-        return load_dataset_spec(self.cfg.dataset, self.cfg.train_count, self.cfg.image_size, "train")
-
-    def _load_test_set(self) -> Dataset:
-        cfg = self.cfg
-        return load_dataset_spec(cfg.dataset, cfg.test_count, cfg.image_size, "test", start=cfg.train_count)
-
-    def _load_benign_eval(self) -> list[np.ndarray]:
-        start = self.cfg.calib_count
-        return self["test_set"].images[start : start + self.cfg.benign_eval_count]
-
-    def _load_model(self) -> Model:
-        return load_model(self._given_path("model").read_bytes())
-
-    def _check_fingerprint(self, name: str, fingerprint) -> None:
-        """A ConfigError naming the given `name` file unless it declares this model's fingerprint."""
-        if fingerprint != self["model"].fingerprint():
-            raise ConfigError(f"{self.paths[name]} was not made for this model (model_fingerprint {fingerprint})")
-
-    def _load_table(self) -> ThresholdTable:
-        """The given table; one made for another model, rate grid or layer shape is a ConfigError."""
-        table, model = self._read_json(self._given_path("table"), "table", ThresholdTable.from_json), self["model"]
-        self._check_fingerprint("table", table.model_fingerprint)
-        shapes = {i: (model.params[i]["w"].shape[0], RATE_GRID_STEPS) for i in model.parametric_layers()}
-        layers_fit = shapes == {i: t.shape for i, t in table.thresholds.items()}
-        if not (layers_fit and np.array_equal(table.rate_grid, RATE_GRID)):
-            raise ConfigError(f"{self.paths['table']} does not have the rate grid and per-layer shapes of this model")
-        return table
-
-    def _load_thresholds(self) -> DetectionThresholds:
-        """The given thresholds; ones calibrated for another model, or for none named, are a ConfigError."""
-        parse = lambda payload: (DetectionThresholds.from_json(payload["thresholds"]), payload.get("model_fingerprint"))
-        thresholds, fingerprint = self._read_json(self._given_path("thresholds"), "thresholds", parse)
-        self._check_fingerprint("thresholds", fingerprint)
-        return thresholds
-
-    @staticmethod
-    def _read_json(path: Path, name: str, parse=lambda payload: payload):
-        """`parse` of the payload of the JSON artifact at path; a corrupt one is a ConfigError."""
+        A given file is read against the model, which loads first; others get None. A corrupt
+        file, or one that parse refuses as made for another model, is a ConfigError naming it.
+        """
+        path, model = (self._given_path(name), self["model"]) if name in self.paths else (self._run_file(name), None)
         try:
-            return parse(read_json_artifact(path)[1])
+            return parse(read_json_artifact(path)[1], model)
+        except PlanMismatch as exc:
+            raise ConfigError(f"{path} was not made for this model: {exc}") from exc
         except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"{path} is not a valid {name} artifact: {exc!r}") from exc
 
@@ -412,18 +437,6 @@ class RunState:
             return load_adversarial_set(path.read_bytes())
         except (OSError, AttackError) as exc:
             raise ConfigError(f"{path} is not a readable adversarial set: {exc}") from exc
-
-    def _load_adv_sets(self) -> dict[str, list[AdversarialSample]]:
-        return {
-            spec.name: self.read_adversarial_set(self._run_file(f"adv_{spec.name}.bin", "attack"))
-            for spec in self.cfg.attacks
-        }
-
-    def _load_metrics(self) -> dict:
-        return self._read_json(self._run_file("metrics.json", "eval"), "metrics", lambda p: (_attack_tables(p), p)[1])
-
-    def _load_cycles(self) -> dict:
-        return self._read_json(self._run_file("cycles.json", "simulate"), "cycles", lambda p: (_cycle_table(p), p)[1])
 
 
 # Each stage reads its inputs from the run state, stores and writes what it
@@ -450,17 +463,16 @@ def stage_train(state: RunState) -> str:
             "test_accuracy": result.test_accuracy,
             "epoch_losses": result.epoch_losses,
         }
-        (state.out / "model.bin").write_bytes(save_model(result.model, provenance(cfg)))
-        summary = f"trained: test accuracy {result.test_accuracy:.3f} -> {state.out / 'model.bin'}"
-    write_json_artifact(state.out / "train_report.json", report, cfg)
+        state.path("model").write_bytes(save_model(result.model, provenance(cfg)))
+        summary = f"trained: test accuracy {result.test_accuracy:.3f} -> {state.path('model')}"
+    write_json_artifact(state.path("train_report"), report, cfg)
     return summary
 
 
 def stage_profile(state: RunState) -> str:
     table = state["table"] = profile_thresholds(state["model"])
-    path = state.out / "threshold_table.json"
-    write_json_artifact(path, table.to_json(), state.cfg)
-    return f"profiled {sum(t.shape[0] for t in table.thresholds.values())} filters -> {path}"
+    write_json_artifact(state.path("table"), table.to_json(), state.cfg)
+    return f"profiled {sum(t.shape[0] for t in table.thresholds.values())} filters -> {state.path('table')}"
 
 
 def stage_attack(state: RunState) -> str:
@@ -473,7 +485,7 @@ def stage_attack(state: RunState) -> str:
     adv_sets, lines = {}, []
     for spec, samples in zip(cfg.attacks, attack_sets(model, sources, cfg.attacks, exemplars)):
         adv_sets[spec.name] = samples
-        path = state.out / f"adv_{spec.name}.bin"
+        path = state.path("adv_set", spec.name)
         meta = {"name": spec.name, "kind": spec.kind, "param": spec.param}
         path.write_bytes(save_adversarial_set(samples, provenance(cfg), attack_meta=meta))
         lines.append(f"{spec.name}: {sum(s.success for s in samples)}/{len(samples)} successful -> {path}")
@@ -496,26 +508,58 @@ def stage_calibrate(state: RunState) -> str:
         passes=cfg.detector.calibration_passes,
     )
     thresholds = state["thresholds"] = calibrate(distances, cfg.detector.target_fpr)
-    path = state.out / "thresholds.json"
     payload = {"thresholds": thresholds.to_json(), "target_fpr": cfg.detector.target_fpr}
-    write_json_artifact(path, {**payload, "model_fingerprint": state["model"].fingerprint()}, cfg)
-    return f"calibrated on {len(inputs)} benign inputs -> {path}"
+    write_json_artifact(state.path("thresholds"), {**payload, "model_fingerprint": state["model"].fingerprint()}, cfg)
+    return f"calibrated on {len(inputs)} benign inputs -> {state.path('thresholds')}"
 
 
 def stage_eval(state: RunState) -> str:
-    metrics, benign_fpr = evaluate_attack_sets(
-        state["model"],
-        state["table"],
-        state.detector_config(),
-        state["benign_eval"],
-        state["adv_sets"],
-        state.out,
-        state.cfg,
-    )
+    """Detection metrics for the benign-eval set and each configured attack set.
+
+    Only the successful samples of each attack set face the detector,
+    matching how the reference results score attacks. The benign side is
+    shared, so it runs once. It writes a verdict log per set,
+    l1_histograms.json from their first passes, and metrics.json.
+    """
+    cfg, model, table, det_cfg = state.cfg, state["model"], state["table"], state.detector_config()
+    benign_eval, adv_sets = state["benign_eval"], state["adv_sets"]
+    benign_verdicts = detect_set(model, table, det_cfg, benign_eval, "benign")
+    benign_fpr = sum(1 for v in benign_verdicts if v.label == "adversarial") / len(benign_verdicts)
+    benign_runs = [v.runs_used for v in benign_verdicts]
+    verdict_sets = {"benign": benign_verdicts}
+    metrics: dict[str, dict] = {}
+    for spec in cfg.attacks:
+        samples = adv_sets[spec.name]
+        successful = [s for s in samples if s.success]
+        adv_verdicts = detect_set(model, table, det_cfg, [s.perturbed for s in successful], "adversarial")
+        confidences = model.predict_batch([s.perturbed for s in successful]).probs.max(axis=1) if successful else []
+        l1_to_target = [s.attack_l1_to_target for s in successful if s.attack_l1_to_target is not None]
+        metrics[spec.name] = {
+            "attack": spec.name,
+            "kind": spec.kind,
+            "param": spec.param,
+            "sources": len(samples),
+            "successes": len(successful),
+            "success_rate": len(successful) / len(samples) if samples else 0.0,
+            "mean_l2_distortion": _mean([s.l2_distortion for s in successful]),
+            "mean_confidence": _mean(confidences),
+            "mean_l1_to_target": _mean(l1_to_target),
+            "metrics": {
+                "detection_rate": _mean([v.label == "adversarial" for v in adv_verdicts]),
+                "fpr": benign_fpr,
+                "mean_runs": _mean(benign_runs + [v.runs_used for v in adv_verdicts]),
+                "benign_count": len(benign_verdicts),
+                "adversarial_count": len(adv_verdicts),
+            },
+            "mean_runs_adversarial": _mean([v.runs_used for v in adv_verdicts]),
+        }
+        verdict_sets[spec.name] = adv_verdicts
+    for name, verdicts in verdict_sets.items():
+        write_verdict_log(state.path("verdicts", name), verdicts, cfg)
+    write_json_artifact(state.path("histograms"), build_histograms(verdict_sets), cfg)
     state["metrics"] = metrics
-    path = state.out / "metrics.json"
-    write_json_artifact(path, metrics, state.cfg)
-    return f"benign FPR {benign_fpr:.3f}; metrics for {len(metrics)} attack set(s) -> {path}"
+    write_json_artifact(state.path("metrics"), metrics, cfg)
+    return f"benign FPR {benign_fpr:.3f}; metrics for {len(metrics)} attack set(s) -> {state.path('metrics')}"
 
 
 def stage_simulate(state: RunState) -> str:
@@ -531,17 +575,18 @@ def stage_simulate(state: RunState) -> str:
         "mean_eligible_speedup": float(np.mean([r.eligible_speedup() for r in reports])),
         "first_report": reports[0].to_json(),
     }
-    path = state.out / "cycles.json"
-    write_json_artifact(path, summary, cfg)
+    write_json_artifact(state.path("cycles"), summary, cfg)
     return (
         f"simulated {summary['inputs']} plans: mean speedup {summary['mean_speedup']:.3f} "
-        f"(eligible layers {summary['mean_eligible_speedup']:.3f}) -> {path}"
+        f"(eligible layers {summary['mean_eligible_speedup']:.3f}) -> {state.path('cycles')}"
     )
 
 
 def stage_report(state: RunState) -> str:
     """Metric CSVs and sweep tables from the metrics and cycles artifacts."""
-    write_report_csvs(state.out, state.cfg, state["metrics"], state["cycles"])
+    tables = {**_attack_tables(state["metrics"]), "cycles_csv": _cycle_table(state["cycles"])}
+    for kind, (columns, rows) in tables.items():
+        write_csv_artifact(state.path(kind), columns, rows, state.cfg)
     return f"report CSVs -> {state.out}"
 
 
@@ -573,59 +618,6 @@ def run_pipeline(cfg: ExperimentConfig, log=print) -> RunState:
     return state
 
 
-def evaluate_attack_sets(
-    model: Model,
-    table: ThresholdTable,
-    det_cfg: DetectorConfig,
-    benign_eval: list[np.ndarray],
-    adv_sets: dict[str, list[AdversarialSample]],
-    out_dir: Path,
-    cfg: ExperimentConfig,
-) -> tuple[dict[str, dict], float]:
-    """Detection metrics for a benign set plus each configured attack set.
-
-    adv_sets maps attack name to samples; only the successful samples of
-    each set face the detector, matching how the reference results score
-    attacks. The benign side is shared, so it runs once. Verdict logs are
-    written per set, and l1_histograms.json from their first passes.
-    """
-    benign_verdicts = detect_set(model, table, det_cfg, benign_eval, "benign")
-    benign_fpr = sum(1 for v in benign_verdicts if v.label == "adversarial") / len(benign_verdicts)
-    benign_runs = [v.runs_used for v in benign_verdicts]
-    verdict_sets = {"benign": benign_verdicts}
-    metrics_by_attack: dict[str, dict] = {}
-    for spec in cfg.attacks:
-        samples = adv_sets[spec.name]
-        successful = [s for s in samples if s.success]
-        adv_verdicts = detect_set(model, table, det_cfg, [s.perturbed for s in successful], "adversarial")
-        confidences = model.predict_batch([s.perturbed for s in successful]).probs.max(axis=1) if successful else []
-        l1_to_target = [s.attack_l1_to_target for s in successful if s.attack_l1_to_target is not None]
-        metrics_by_attack[spec.name] = {
-            "attack": spec.name,
-            "kind": spec.kind,
-            "param": spec.param,
-            "sources": len(samples),
-            "successes": len(successful),
-            "success_rate": len(successful) / len(samples) if samples else 0.0,
-            "mean_l2_distortion": _mean([s.l2_distortion for s in successful]),
-            "mean_confidence": _mean(confidences),
-            "mean_l1_to_target": _mean(l1_to_target),
-            "metrics": {
-                "detection_rate": _mean([v.label == "adversarial" for v in adv_verdicts]),
-                "fpr": benign_fpr,
-                "mean_runs": _mean(benign_runs + [v.runs_used for v in adv_verdicts]),
-                "benign_count": len(benign_verdicts),
-                "adversarial_count": len(adv_verdicts),
-            },
-            "mean_runs_adversarial": _mean([v.runs_used for v in adv_verdicts]),
-        }
-        verdict_sets[spec.name] = adv_verdicts
-    for name, verdicts in verdict_sets.items():
-        write_verdict_log(out_dir / f"verdicts_{name}.jsonl", verdicts, cfg)
-    write_json_artifact(out_dir / "l1_histograms.json", build_histograms(verdict_sets), cfg)
-    return metrics_by_attack, benign_fpr
-
-
 def _mean(values) -> float | None:
     """The mean of a sequence as a float, or None for an empty one."""
     return float(np.mean(values)) if len(values) else None
@@ -647,19 +639,19 @@ def build_histograms(verdict_sets: dict[str, list[DetectionVerdict]]) -> dict:
     return payload
 
 
-# Each attack CSV as (file, the attack kind it keeps or None for all, sort key, columns). A column names
-# a field of an attack's metrics record or of its "metrics"; "k" and "beta" name its swept param.
+# Each attack CSV as (RUN_FILES kind, the attack kind it keeps or None for all, sort key, columns). A column
+# names a field of an attack's metrics record or of its "metrics"; "k" and "beta" name its swept param.
 REPORT_CSVS = (
-    ("metrics.csv", None, "kind param attack", "attack kind param sources successes success_rate "
+    ("metrics_csv", None, "kind param attack", "attack kind param sources successes success_rate "
      "mean_l2_distortion mean_confidence mean_l1_to_target detection_rate fpr mean_runs"),
-    ("k_sweep.csv", "cw_l2", "param", "k mean_l2_distortion detection_rate"),
-    ("beta_sweep.csv", "defense_aware", "param", "beta mean_confidence mean_l1_to_target mean_l2_distortion "
+    ("k_sweep", "cw_l2", "param", "k mean_l2_distortion detection_rate"),
+    ("beta_sweep", "defense_aware", "param", "beta mean_confidence mean_l1_to_target mean_l2_distortion "
      "detection_rate"),
 )
 
 
 def _attack_tables(metrics_by_attack) -> dict[str, tuple[list[str], list[list]]]:
-    """Each REPORT_CSVS file's (columns, rows) of the attack records; a wrong shape raises TypeError or KeyError."""
+    """Each REPORT_CSVS kind's (columns, rows) of the attack records; a wrong shape raises TypeError or KeyError."""
     if not isinstance(metrics_by_attack, dict):
         raise TypeError(f"need an object of attack records, got {type(metrics_by_attack).__name__}")
     tables = {}
@@ -674,9 +666,3 @@ def _cycle_table(sim_summary) -> tuple[list[str], list[list]]:
     """cycles.csv's (columns, rows): the first simulated plan's per-layer report."""
     columns = [*LayerCycleReport.__dataclass_fields__, "speedup"]
     return columns, [[layer[c] for c in columns] for layer in sim_summary["first_report"]["per_layer"]]
-
-
-def write_report_csvs(out_dir: Path, cfg: ExperimentConfig, metrics_by_attack: dict, sim_summary: dict) -> None:
-    """The REPORT_CSVS views of the attack records, and cycles.csv."""
-    for name, (columns, rows) in {**_attack_tables(metrics_by_attack), "cycles.csv": _cycle_table(sim_summary)}.items():
-        write_csv_artifact(out_dir / name, columns, rows, cfg)

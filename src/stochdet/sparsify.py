@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Model, RATE_GRID_STEPS, ThresholdTable, check_settings, setting
+from .model import Model, RATE_GRID, RATE_GRID_STEPS, ThresholdTable, check_settings, setting
 from .nn import ProbVector
 from .rng import substream
 
@@ -94,16 +94,27 @@ def rate_bank(model: Model, table: ThresholdTable) -> dict[int, tuple[np.ndarray
     product w * mask. Built on first use and kept on the table (models and tables are fixed once
     made, as Model.fingerprint assumes). It holds RATE_GRID_STEPS times the eligible weights as
     float64 plus bool: 0.5 MB on an (8, 16)-channel, 4-class model at 18x18.
+
+    This is the one check that a table fits a model: its fingerprint, on every call, and, before
+    the bank is built, every parametric layer's (filters, RATE_GRID_STEPS) thresholds and RATE_GRID.
+    A table that fails it raises PlanMismatch.
     """
     if table.model_fingerprint != model.fingerprint():
         raise PlanMismatch("threshold table was profiled for a different model")
     bank = table.__dict__.get("_bank")
     if bank is None:
+        layers = model.parametric_layers()
+        if sorted(table.thresholds) != layers:
+            raise PlanMismatch(f"threshold table covers layers {sorted(table.thresholds)}, the model's are {layers}")
+        for idx in layers:
+            shape = table.thresholds[idx].shape
+            if shape != (model.params[idx]["w"].shape[0], RATE_GRID_STEPS):
+                raise PlanMismatch(f"layer {idx} has thresholds of shape {shape}, not one grid row per filter")
+        if not np.array_equal(table.rate_grid, RATE_GRID):
+            raise PlanMismatch("threshold table was profiled on a rate grid other than RATE_GRID")
         bank = {}
-        for idx in (i for i in model.parametric_layers() if model.layers[i].noise_eligible):
+        for idx in (i for i in layers if model.layers[i].noise_eligible):
             filters, taus = model.filter_matrix(idx), table.thresholds[idx]
-            if taus.shape != (len(filters), RATE_GRID_STEPS):
-                raise PlanMismatch(f"layer {idx} has thresholds of shape {taus.shape}, not one grid row per filter")
             mask = np.abs(filters)[:, None, :] >= taus[:, :, None]
             weights = (filters[:, None, :] * mask.astype(np.float64)).reshape(-1, *model.params[idx]["w"].shape[1:])
             bank[idx] = (np.arange(len(filters)) * RATE_GRID_STEPS, mask.reshape(len(weights), -1), weights)

@@ -7,6 +7,7 @@ session-scoped and derived deterministically from FIXTURE_SEED.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from stochdet.attacks import AttackConfig, attack_sets, pick_exemplars
 from stochdet.data import synth_dataset
 from stochdet.detector import calibrate, calibration_distances
-from stochdet.model import TrainConfig, conv_pool_arch, loss_gradients, profile_thresholds, train
+from stochdet.model import Model, TrainConfig, conv_pool_arch, loss_gradients, profile_thresholds, train
 from stochdet.pipeline import artifact_payload, verify_artifact
 from stochdet.rng import derive_seed
 from stochdet.sparsify import NoiseConfig
@@ -138,6 +139,19 @@ def successful_inputs(samples):
     return [s.perturbed for s in samples if s.success]
 
 
+def clone_with_zeroed(model: Model, masks: dict[int, np.ndarray]) -> Model:
+    """Copy of the model with masked weights physically set to zero: the reference for a masked pass."""
+    params = {i: {"w": p["w"].copy(), "b": p["b"].copy()} for i, p in model.params.items()}
+    for idx, mask in masks.items():
+        params[idx]["w"] = params[idx]["w"] * np.asarray(mask, dtype=np.float64).reshape(params[idx]["w"].shape)
+    return Model(
+        layers=[replace(s) for s in model.layers],
+        params=params,
+        class_count=model.class_count,
+        input_shape=model.input_shape,
+    )
+
+
 def input_gradient(model, x, loss) -> np.ndarray:
     """d(loss)/d(input) of one input x for the mask-free model."""
     return loss_gradients(model, np.asarray(x, dtype=np.float64)[None], loss, param_grads=False)[2][0]
@@ -151,9 +165,9 @@ def loss_value(model, x, loss) -> float:
     return float(values[0])
 
 
-def verified_payload(data: bytes) -> bytes | None:
-    """The payload bytes of a container that `verify` calls ok, or None for one it does not."""
+def verified_payload(data: bytes, name: str = "model.bin") -> bytes | None:
+    """The payload bytes of a container that `verify` calls ok as the run file `name`, or None for one it does not."""
     with tempfile.TemporaryDirectory() as tmp:  # hypothesis refuses the function-scoped tmp_path
-        path = Path(tmp) / "container.bin"
+        path = Path(tmp) / name
         path.write_bytes(data)
         return artifact_payload(path)[1] if verify_artifact(path)[0] else None

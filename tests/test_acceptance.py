@@ -23,7 +23,14 @@ from stochdet.model import LayerSpec, RATE_GRID, init_model
 from stochdet.pipeline import ExperimentConfig, artifact_payload, read_json_artifact, run_pipeline
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import draw_plan, noisy_activation_forward, noisy_forward
-from tests.conftest import DETECTOR_MAX_RUNS, FIXTURE_SEED, input_gradient, loss_value, successful_inputs
+from tests.conftest import (
+    DETECTOR_MAX_RUNS,
+    FIXTURE_SEED,
+    clone_with_zeroed,
+    input_gradient,
+    loss_value,
+    successful_inputs,
+)
 from tests.test_golden import check_golden
 from tests.test_nn import assert_gradients_close, fd_probe_is_smooth, finite_difference
 
@@ -117,8 +124,8 @@ def test_criterion_2_sparsification_soundness(fixture_model, fixture_table):
         x = np.clip(substream(1002, "x").normal(0.5, 0.2, fixture_model.input_shape), 0, 1)
         plan = draw_plan(fixture_model, fixture_table, 0.7, pass_seed=derive_seed(1002, "plan"))
         masked = noisy_forward(fixture_model, plan, x)
-        zeroed = fixture_model.clone_with_zeroed(
-            {i: m.astype(np.float64) for i, m in plan.masks.items()}
+        zeroed = clone_with_zeroed(
+            fixture_model, {i: m.astype(np.float64) for i, m in plan.masks.items()}
         ).predict(x)
         np.testing.assert_array_equal(masked.probs, zeroed.probs)
         np.testing.assert_array_equal(masked.logits, zeroed.logits)

@@ -324,7 +324,7 @@ def _overwrite(at: int, patch: bytes) -> bytes:
 @settings(max_examples=300, deadline=None)
 def test_adversarial_set_fuzz_yields_typed_error_or_samples(data):
     # verify never raises, and passes only a container whose payload is the one saved
-    assert verified_payload(data) in (None, verified_payload(_one_sample_set()))
+    assert verified_payload(data, "adv_x.bin") in (None, verified_payload(_one_sample_set(), "adv_x.bin"))
     try:
         samples = load_adversarial_set(data)
     except AttackError:

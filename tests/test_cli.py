@@ -15,11 +15,11 @@ from stochdet.data import load_idx_dataset, serialize_idx
 from stochdet.detector import l1_distance
 from stochdet.model import TrainConfig
 from stochdet.pipeline import (
-    ARTIFACT_SUFFIXES,
     DetectorSettings,
     ExperimentConfig,
     HISTOGRAM_BINS,
     RunState,
+    artifact_kind,
     artifact_payload,
     config_hash,
     read_json_artifact,
@@ -62,7 +62,7 @@ def write_config(tmp_path: Path, **overrides) -> Path:
 
 def artifact_payloads(run_dir: Path) -> dict[str, bytes]:
     """Every artifact's payload bytes, provenance left out, by file name."""
-    return {p.name: artifact_payload(p)[1] for p in sorted(run_dir.iterdir()) if p.suffix in ARTIFACT_SUFFIXES}
+    return {p.name: artifact_payload(p)[1] for p in sorted(run_dir.iterdir()) if artifact_kind(p.name)}
 
 
 def payload_lines(path: Path) -> list[str]:
@@ -135,35 +135,51 @@ def test_verify_flags_tampering(pipeline_run, tmp_path):
         assert main(["verify", str(tampered)]) == 3
 
 
+# each bad file carries an artifact's name, since verify recognises artifacts by name alone
 @pytest.mark.parametrize(
     "name, content",
     [
-        ("empty.jsonl", ""),
-        ("list_root.json", "[1, 2]"),
-        ("text_provenance.json", '{"provenance": "x", "payload": {}}'),
-        ("number_hash.json", '{"provenance": {"payload_sha256": 5}, "payload": {}}'),
-        ("no_hash.csv", "# base_seed=7\nattack,kind\ncw_l2_next_k0,cw_l2\n"),
-        ("truncated.bin", lambda model: model[:-8]),
-        ("bad_magic.bin", lambda model: b"SDMODEL2" + model[8:]),
+        ("verdicts_x.jsonl", ""),
+        ("metrics.json", "[1, 2]"),
+        ("metrics.json", '{"provenance": "x", "payload": {}}'),
+        ("metrics.json", '{"provenance": {"payload_sha256": 5}, "payload": {}}'),
+        ("metrics.csv", "# base_seed=7\nattack,kind\ncw_l2_next_k0,cw_l2\n"),
+        ("model.bin", lambda run: (run / "model.bin").read_bytes()[:-8]),
+        ("adv_x.bin", lambda run: b"SDMODEL2" + (run / "model.bin").read_bytes()[8:]),
+        ("metrics.json", lambda run: json.dumps({"payload": read_json_artifact(run / "metrics.json")[1]}).encode()),
     ],
     ids=[
         "empty-jsonl", "list-root", "non-dict-provenance", "non-string-hash", "csv-without-hash",
-        "truncated-container", "bad-magic-container",
+        "truncated-container", "bad-magic-container", "stripped-provenance",
     ],
 )
 def test_verify_flags_unreadable_provenance_and_goes_on(pipeline_run, tmp_path, capsys, name, content):
     run_dir = Path(pipeline_run[0].out_dir)
-    data = content((run_dir / "model.bin").read_bytes()) if callable(content) else content.encode()
-    (tmp_path / f"a_{name}").write_bytes(data)
-    shutil.copy(run_dir / "metrics.csv", tmp_path / "b_metrics.csv")  # checked after the bad file
+    bad, good = tmp_path / "a" / name, tmp_path / "b" / "metrics.csv"  # apart, so that two names never collide
+    bad.parent.mkdir()
+    bad.write_bytes(content(run_dir) if callable(content) else content.encode())
+    good.parent.mkdir()
+    shutil.copy(run_dir / "metrics.csv", good)  # checked after the bad file
     (tmp_path / "c_notes.txt").write_text("not an artifact")
-    ok, detail = verify_artifact(tmp_path / f"a_{name}")
+    ok, detail = verify_artifact(bad)
     assert not ok and "unreadable provenance" in detail
     assert main(["verify", str(tmp_path)]) == 3
     out = capsys.readouterr().out.splitlines()
-    assert out[0].startswith("TAMPERED") and f"a_{name}" in out[0] and "unreadable provenance" in out[0]
-    assert out[1].startswith("ok") and "b_metrics.csv" in out[1]
+    assert out[0].startswith("TAMPERED") and str(bad) in out[0] and "unreadable provenance" in out[0]
+    assert out[1].startswith("ok") and str(good) in out[1]
     assert out[2].startswith("skipped") and "c_notes.txt" in out[2] and "not an artifact" in out[2]
+
+
+def test_verify_skips_json_files_a_run_does_not_write(pipeline_run, tmp_path, capsys):
+    """A copy of the config, or notes, in a run directory are not artifacts, whatever their suffix."""
+    out = tmp_path / "run"
+    shutil.copytree(Path(pipeline_run[0].out_dir), out)
+    write_config(out)
+    (out / "notes.json").write_text('{"note": "not an artifact"}')
+    assert main(["verify", str(out)]) == 0
+    status = {Path(line.split()[1]).name: line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert status.pop("config.json") == status.pop("notes.json") == "skipped"
+    assert set(status.values()) == {"ok"}, status
 
 
 @pytest.mark.parametrize("name", ["out_dir", "model_path"])
@@ -264,6 +280,20 @@ def test_corrupt_table_or_thresholds_is_a_config_error(pipeline_run, tmp_path, c
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "report"])
+def test_a_missing_run_file_names_itself_and_the_stage_that_writes_it(pipeline_run, tmp_path, capsys, command):
+    cfg = pipeline_run[0]
+    run_dir, out = Path(cfg.out_dir), tmp_path / "empty"
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(out)]
+    if command == "eval":
+        argv += ["--model", str(run_dir / "model.bin"), "--table", str(run_dir / "threshold_table.json")]
+        argv += ["--thresholds", str(run_dir / "thresholds.json")]
+    missing, stage = {"eval": (f"adv_{cfg.attacks[0].name}.bin", "attack"), "report": ("metrics.json", "eval")}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"no {missing} in {out}" in err and f"run `{stage}` first" in err
 
 
 @pytest.mark.parametrize(

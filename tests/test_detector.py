@@ -23,10 +23,10 @@ from stochdet.detector import (
 from stochdet.model import RATE_GRID_STEPS, conv_pool_arch, init_model, profile_thresholds
 from stochdet.attacks import AttackConfig
 from stochdet.nn import ProbVector
-from stochdet.pipeline import ExperimentConfig, evaluate_attack_sets
+from stochdet.pipeline import DetectorSettings, ExperimentConfig, RunState, stage_eval
 from stochdet.rng import derive_seed, substream
 from stochdet.sparsify import NoiseConfig, PlanMismatch, confidence, draw_plan, noise_budget, noisy_forward, rate_bank
-from tests.conftest import successful_inputs
+from tests.conftest import DETECTOR_MAX_RUNS, clone_with_zeroed, successful_inputs
 
 
 def pv(probs):
@@ -229,14 +229,14 @@ def test_noisy_pass_from_the_prefix_equals_a_full_masked_forward(first_conv_nois
         plan = draw_plan(model, table, float(rng.uniform(0, 0.95)), int(rng.integers(2**63)))
         assert min(plan.masks) == start
         from_prefix = noisy_forward(model, plan, reference.inputs[start][0], start)
-        full = model.clone_with_zeroed(plan.masks).forward_trace(x[None])
+        full = clone_with_zeroed(model, plan.masks).forward_trace(x[None])
         assert from_prefix.probs.tobytes() == full.probs[0].tobytes()
         assert from_prefix.logits.tobytes() == full.logits[0].tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(reference.inputs, prefix))
         # the detector's own passes: the same distances as full masked forwards
         ref, plan_of, distance = noisy_passes(model, table, x, NoiseConfig())
         for i in (1, 2, 3):
-            expected = l1_distance(model.clone_with_zeroed(plan_of(trial, i).masks).predict(x), ref)
+            expected = l1_distance(clone_with_zeroed(model, plan_of(trial, i).masks).predict(x), ref)
             assert distance(trial, i) == expected
     with pytest.raises(ValueError, match="would skip masked layer"):
         noisy_forward(model, plan, full.inputs[start + 1][0], start + 1)
@@ -359,15 +359,26 @@ def test_calibrated_fpr_on_holdout(
 # set evaluation
 
 
+def eval_metrics(tmp_path, model, table, thresholds, benign_eval, attack, base_seed) -> dict:
+    """stage_eval's metrics for benign_eval and an empty set of `attack`, from in-memory artifacts."""
+    cfg = ExperimentConfig(
+        base_seed=base_seed, detector=DetectorSettings(max_runs=5), attacks=[attack], out_dir=str(tmp_path)
+    )
+    state = RunState(cfg)
+    artifacts = {"model": model, "table": table, "thresholds": thresholds, "benign_eval": benign_eval}
+    for name, value in {**artifacts, "adv_sets": {attack.name: []}}.items():
+        state[name] = value
+    stage_eval(state)
+    return state["metrics"]
+
+
 def test_evaluate_empty_adversarial_reports_not_applicable(
     fixture_model, fixture_table, fixture_data, calibrated_thresholds, tmp_path
 ):
     _, test_set = fixture_data
-    cfg = DetectorConfig(thresholds=calibrated_thresholds, max_runs=5, noise=NoiseConfig(), base_seed=31)
     attack = AttackConfig(kind="cw_l2")
-    metrics, _ = evaluate_attack_sets(
-        fixture_model, fixture_table, cfg, test_set.images[:3], {attack.name: []},
-        tmp_path, ExperimentConfig(attacks=[attack]),
+    metrics = eval_metrics(
+        tmp_path, fixture_model, fixture_table, calibrated_thresholds, test_set.images[:3], attack, base_seed=31
     )
     rec = metrics[attack.name]["metrics"]
     assert rec["detection_rate"] is None
@@ -383,10 +394,10 @@ def test_evaluate_single_benign(fixture_model, fixture_table, fixture_data, cali
     alone = replace(cfg, base_seed=derive_seed(37, "benign", 0))
     assert verdict == stochastic_inference(fixture_model, fixture_table, test_set.images[0], alone)
     attack = AttackConfig(kind="cw_l2")
-    metrics, fpr = evaluate_attack_sets(
-        fixture_model, fixture_table, cfg, [test_set.images[0]], {attack.name: []},
-        tmp_path, ExperimentConfig(attacks=[attack]),
+    metrics = eval_metrics(
+        tmp_path, fixture_model, fixture_table, calibrated_thresholds, [test_set.images[0]], attack, base_seed=37
     )
+    fpr = metrics[attack.name]["metrics"]["fpr"]
     assert fpr == (1.0 if verdict.label == "adversarial" else 0.0)
 
 
@@ -413,7 +424,7 @@ def old_verdict(model, table, x, cfg):
 
     def distance(i):
         masks = old_plan_masks(model, table, budget, derive_seed(cfg.base_seed, "pass", i))
-        return l1_distance(model.clone_with_zeroed(masks).predict(x), ref)
+        return l1_distance(clone_with_zeroed(model, masks).predict(x), ref)
 
     return decide(distance, cfg.thresholds, cfg.max_runs), ref.top_class
 
@@ -445,3 +456,20 @@ def test_rate_bank_refuses_a_table_of_another_model(fixture_model, fixture_table
     for _ in range(2):  # a refused table keeps no partial bank
         with pytest.raises(PlanMismatch, match="one grid row per filter"):
             rate_bank(fixture_model, half_grid)
+
+
+@pytest.mark.parametrize("misfit", ["rate-grid", "no-layer-0"])
+def test_a_table_that_does_not_fit_is_refused_before_any_pass(
+    fixture_model, fixture_table, calibrated_thresholds, benign_eval_inputs, misfit
+):
+    """rate_bank, and so stochastic_inference, refuses a table the model's layers and RATE_GRID do not fit."""
+    if misfit == "rate-grid":
+        table = replace(fixture_table, rate_grid=fixture_table.rate_grid / 2)
+    else:  # layer 0 takes no noise, so the bank never reads its thresholds
+        assert not fixture_model.layers[0].noise_eligible
+        table = replace(fixture_table, thresholds={i: t for i, t in fixture_table.thresholds.items() if i != 0})
+    with pytest.raises(PlanMismatch):
+        rate_bank(fixture_model, table)
+    cfg = DetectorConfig(calibrated_thresholds, DETECTOR_MAX_RUNS, NoiseConfig(), 41)
+    with pytest.raises(PlanMismatch):
+        stochastic_inference(fixture_model, table, benign_eval_inputs[0], cfg)

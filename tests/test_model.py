@@ -27,7 +27,7 @@ from stochdet.model import (
     save_model,
     train,
 )
-from tests.conftest import verified_payload
+from tests.conftest import clone_with_zeroed, verified_payload
 
 def small_sets():
     return synth_dataset(21, 300), synth_dataset(22, 120)
@@ -121,7 +121,7 @@ def test_arch_must_end_in_softmax():
 
 
 def test_uniform_output_when_final_dense_zeroed(fixture_model):
-    model = fixture_model.clone_with_zeroed({})
+    model = clone_with_zeroed(fixture_model, {})
     dense_idx = model.parametric_layers()[-1]
     model.params[dense_idx]["w"][:] = 0.0
     model.params[dense_idx]["b"][:] = 0.0
@@ -131,7 +131,7 @@ def test_uniform_output_when_final_dense_zeroed(fixture_model):
 
 def test_forward_reads_reassigned_and_in_place_parameters(fixture_model):
     """Bound layer calls read the parameters on every call, as training and tests update them."""
-    model = fixture_model.clone_with_zeroed({})
+    model = clone_with_zeroed(fixture_model, {})
     x = np.full(model.input_shape, 0.3)
     dense_idx = model.parametric_layers()[-1]
 

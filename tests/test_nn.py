@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from stochdet import nn
 from stochdet.model import LayerSpec, Model, conv_pool_arch, init_model, loss_gradients
 from stochdet.rng import substream
-from tests.conftest import input_gradient, loss_value
+from tests.conftest import clone_with_zeroed, input_gradient, loss_value
 
 # gradient checks: relative tolerance with a small absolute floor, since
 # central differences carry O(h^2) truncation error around 1e-8
@@ -443,7 +443,7 @@ def test_masked_forward_equals_zeroed_weights_bitwise():
         for idx in model.parametric_layers()
     }
     masked = model.run_layers(x[None], weights={idx: model.params[idx]["w"] * m for idx, m in masks.items()})
-    zeroed = model.clone_with_zeroed(masks).forward_trace(x[None])
+    zeroed = clone_with_zeroed(model, masks).forward_trace(x[None])
     np.testing.assert_array_equal(masked.probs, zeroed.probs)
     np.testing.assert_array_equal(masked.logits, zeroed.logits)
 

@@ -18,6 +18,7 @@ from stochdet.sparsify import (
     noisy_forward,
 )
 from stochdet.detector import l1_distance
+from tests.conftest import clone_with_zeroed
 
 
 def pv(probs):
@@ -188,8 +189,8 @@ def test_noisy_forward_equals_zeroed_clone(fixture_model, fixture_table, fixture
     plan = draw_plan(fixture_model, fixture_table, 0.7, pass_seed=9)
     x = test_set.images[1]
     noisy = noisy_forward(fixture_model, plan, x)
-    zeroed = fixture_model.clone_with_zeroed(
-        {idx: m.astype(np.float64) for idx, m in plan.masks.items()}
+    zeroed = clone_with_zeroed(
+        fixture_model, {idx: m.astype(np.float64) for idx, m in plan.masks.items()}
     )
     np.testing.assert_array_equal(noisy.probs, zeroed.predict(x).probs)
 
